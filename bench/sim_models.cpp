@@ -7,7 +7,9 @@
 // O(E * P^2) per-event scans (BM_SimInterleaved vs BM_RefSimInterleaved —
 // the Complexity() fits make the asymptotic gap visible). BM_AdaptiveRound
 // times the unit the executors loop over: one round's simulation through
-// a warm workspace, ports carried in. The BM_RefSim* twins run the
+// a warm workspace, ports carried in. BM_FromSchedule times the step
+// before any of them: turning a timed schedule into its per-port orders.
+// The BM_RefSim* twins run the
 // retained naive implementation (sim/reference_simulator.hpp) so
 // BENCH_scheduler.json records before/after numbers side by side; both
 // sides are golden-trace verified bit-identical (tests/sim_golden_test).
@@ -16,6 +18,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/comm_matrix.hpp"
+#include "core/scheduler.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
 #include "sim/reference_simulator.hpp"
@@ -155,8 +159,31 @@ void BM_AdaptiveRound(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
+/// Schedule -> program conversion alone: the per-port send and receive
+/// orders every executed schedule is turned into before it is simulated
+/// (the paper pipeline builds six per instance). The open-shop schedule
+/// is built once, outside the timed loop; N for the fit is the event
+/// count, so a linear pass fits O(N).
+void BM_FromSchedule(benchmark::State& state) {
+  const Fixture fx{static_cast<std::size_t>(state.range(0))};
+  const hcs::CommMatrix comm{fx.directory.snapshot(0.0), fx.messages};
+  const hcs::Schedule schedule =
+      hcs::make_scheduler(hcs::SchedulerKind::kOpenShop)->schedule(comm);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(hcs::SendProgram::from_schedule(schedule));
+  const auto events = static_cast<std::int64_t>(schedule.events().size());
+  state.SetItemsProcessed(state.iterations() * events);
+  state.SetComplexityN(events);
+}
+
 }  // namespace
 
+BENCHMARK(BM_FromSchedule)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond)
+    ->Complexity(benchmark::oN);
 BENCHMARK(BM_SimSerialized)->RangeMultiplier(2)->Range(8, 128)->Complexity();
 BENCHMARK(BM_RefSimSerialized)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 BENCHMARK(BM_SimInterleaved)->RangeMultiplier(2)->Range(8, 128)->Complexity();

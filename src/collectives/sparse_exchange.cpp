@@ -115,12 +115,12 @@ void SparsePattern::validate(const Schedule& schedule, const CommMatrix& comm,
   require(schedule.events().size() == event_count(),
           "sparse validate: missing required events");
 
-  for (std::size_t p = 0; p < n; ++p) {
-    for (const bool sender_side : {true, false}) {
-      const auto events =
-          sender_side ? schedule.sender_events(p) : schedule.receiver_events(p);
+  for (const PortSide side : {PortSide::kSend, PortSide::kReceive}) {
+    const PortOrder order{schedule, side};
+    for (std::size_t p = 0; p < n; ++p) {
       const ScheduledEvent* previous = nullptr;
-      for (const ScheduledEvent& event : events) {
+      for (const std::size_t e : order[p]) {
+        const ScheduledEvent& event = schedule.events()[e];
         if (event.duration() <= tolerance) continue;
         if (previous != nullptr)
           require(event.start_s >= previous->finish_s - tolerance,

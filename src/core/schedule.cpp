@@ -27,70 +27,85 @@ double Schedule::completion_time() const {
   return latest;
 }
 
-namespace {
+PortOrder::PortOrder(const Schedule& schedule, PortSide side)
+    : offsets_(schedule.processor_count() + 1, 0),
+      indices_(schedule.events().size()) {
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  const std::size_t ScheduledEvent::*const port =
+      side == PortSide::kSend ? &ScheduledEvent::src : &ScheduledEvent::dst;
+  for (const ScheduledEvent& event : events) ++offsets_[event.*port + 1];
+  for (std::size_t p = 1; p < offsets_.size(); ++p)
+    offsets_[p] += offsets_[p - 1];
 
-std::vector<ScheduledEvent> filtered_sorted(
-    const std::vector<ScheduledEvent>& events, bool by_sender,
-    std::size_t processor) {
-  std::vector<ScheduledEvent> result;
-  for (const ScheduledEvent& event : events)
-    if ((by_sender ? event.src : event.dst) == processor)
-      result.push_back(event);
-  std::sort(result.begin(), result.end(),
-            [](const ScheduledEvent& a, const ScheduledEvent& b) {
-              return a.start_s < b.start_s ||
-                     (a.start_s == b.start_s && a.finish_s < b.finish_s);
-            });
-  return result;
+  // The fill visits events in index order, so each port's bucket fills in
+  // index order; comparing an event with its port's previous one flags
+  // the buckets that are not also in (start, finish) order.
+  const std::size_t n = schedule.processor_count();
+  std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+  std::vector<const ScheduledEvent*> last(n, nullptr);
+  std::vector<unsigned char> unordered(n, 0);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const ScheduledEvent& event = events[e];
+    const std::size_t p = event.*port;
+    const ScheduledEvent* previous = last[p];
+    if (previous != nullptr &&
+        (event.start_s < previous->start_s ||
+         (event.start_s == previous->start_s &&
+          event.finish_s < previous->finish_s)))
+      unordered[p] = 1;
+    last[p] = &event;
+    indices_[next[p]++] = e;
+  }
+  const auto before = [&events](std::size_t a, std::size_t b) {
+    const ScheduledEvent& x = events[a];
+    const ScheduledEvent& y = events[b];
+    if (x.start_s != y.start_s) return x.start_s < y.start_s;
+    if (x.finish_s != y.finish_s) return x.finish_s < y.finish_s;
+    return a < b;
+  };
+  for (std::size_t p = 0; p < n; ++p)
+    if (unordered[p] != 0)
+      std::sort(indices_.data() + offsets_[p],
+                indices_.data() + offsets_[p + 1], before);
 }
 
-using EventRefs = std::vector<const ScheduledEvent*>;
+namespace {
 
-// All events grouped by one port side, each group in (start, finish)
-// order — the same order filtered_sorted produces, but built in a single
-// pass over the event list. The whole-schedule consumers (idle_profile,
-// first_violation) use this instead of one filtered scan per processor,
-// which would be O(P·E) = O(P³) at wide P.
-std::vector<EventRefs> group_by_port(const std::vector<ScheduledEvent>& events,
-                                     std::size_t processor_count,
-                                     bool by_sender) {
-  std::vector<EventRefs> groups(processor_count);
-  for (const ScheduledEvent& event : events)
-    groups[by_sender ? event.src : event.dst].push_back(&event);
-  for (EventRefs& group : groups)
-    std::sort(group.begin(), group.end(),
-              [](const ScheduledEvent* a, const ScheduledEvent* b) {
-                return a->start_s < b->start_s ||
-                       (a->start_s == b->start_s && a->finish_s < b->finish_s);
-              });
-  return groups;
+std::vector<ScheduledEvent> port_events(const Schedule& schedule,
+                                        PortSide side, std::size_t processor) {
+  const PortOrder order{schedule, side};
+  std::vector<ScheduledEvent> result;
+  for (const std::size_t e : order[processor])
+    result.push_back(schedule.events()[e]);
+  return result;
 }
 
 }  // namespace
 
 std::vector<ScheduledEvent> Schedule::sender_events(std::size_t src) const {
   check(src < processor_count_, "Schedule: sender out of range");
-  return filtered_sorted(events_, /*by_sender=*/true, src);
+  return port_events(*this, PortSide::kSend, src);
 }
 
 std::vector<ScheduledEvent> Schedule::receiver_events(std::size_t dst) const {
   check(dst < processor_count_, "Schedule: receiver out of range");
-  return filtered_sorted(events_, /*by_sender=*/false, dst);
+  return port_events(*this, PortSide::kReceive, dst);
 }
 
 std::vector<ProcessorIdle> Schedule::idle_profile() const {
   std::vector<ProcessorIdle> profile(processor_count_);
-  const auto accumulate = [](const EventRefs& events, double& busy,
-                             double& idle) {
+  const auto accumulate = [this](std::span<const std::size_t> port,
+                                 double& busy, double& idle) {
     double cursor = 0.0;
-    for (const ScheduledEvent* event : events) {
-      busy += event->duration();
-      if (event->start_s > cursor) idle += event->start_s - cursor;
-      cursor = std::max(cursor, event->finish_s);
+    for (const std::size_t e : port) {
+      const ScheduledEvent& event = events_[e];
+      busy += event.duration();
+      if (event.start_s > cursor) idle += event.start_s - cursor;
+      cursor = std::max(cursor, event.finish_s);
     }
   };
-  const auto by_sender = group_by_port(events_, processor_count_, true);
-  const auto by_receiver = group_by_port(events_, processor_count_, false);
+  const PortOrder by_sender{*this, PortSide::kSend};
+  const PortOrder by_receiver{*this, PortSide::kReceive};
   for (std::size_t p = 0; p < processor_count_; ++p) {
     accumulate(by_sender[p], profile[p].send_busy_s, profile[p].send_idle_s);
     accumulate(by_receiver[p], profile[p].recv_busy_s, profile[p].recv_idle_s);
@@ -100,12 +115,14 @@ std::vector<ProcessorIdle> Schedule::idle_profile() const {
 
 namespace {
 
-std::optional<std::string> find_overlap(const EventRefs& sorted,
-                                        double tolerance, const char* port,
-                                        std::size_t processor) {
+std::optional<std::string> find_overlap(
+    const std::vector<ScheduledEvent>& events,
+    std::span<const std::size_t> sorted, double tolerance, const char* port,
+    std::size_t processor) {
   // Zero-duration events occupy no port time; skip them.
   const ScheduledEvent* previous = nullptr;
-  for (const ScheduledEvent* event : sorted) {
+  for (const std::size_t e : sorted) {
+    const ScheduledEvent* event = &events[e];
     if (event->duration() <= tolerance) continue;
     if (previous != nullptr &&
         event->start_s < previous->finish_s - tolerance) {
@@ -145,12 +162,14 @@ std::optional<std::string> Schedule::first_violation(const CommMatrix& comm,
   if (events_.size() != expected_events)
     return "schedule does not cover every processor pair exactly once";
 
-  const auto by_sender = group_by_port(events_, n, true);
-  const auto by_receiver = group_by_port(events_, n, false);
+  const PortOrder by_sender{*this, PortSide::kSend};
+  const PortOrder by_receiver{*this, PortSide::kReceive};
   for (std::size_t p = 0; p < n; ++p) {
-    if (auto overlap = find_overlap(by_sender[p], tolerance, "send", p))
+    if (auto overlap =
+            find_overlap(events_, by_sender[p], tolerance, "send", p))
       return overlap;
-    if (auto overlap = find_overlap(by_receiver[p], tolerance, "receive", p))
+    if (auto overlap =
+            find_overlap(events_, by_receiver[p], tolerance, "receive", p))
       return overlap;
   }
   return std::nullopt;

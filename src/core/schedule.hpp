@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,11 +53,14 @@ class Schedule {
   /// Time at which the last event completes.
   [[nodiscard]] double completion_time() const;
 
-  /// Events sent by `src`, ordered by start time.
-  [[nodiscard]] std::vector<ScheduledEvent> sender_events(std::size_t src) const;
+  /// Events sent by `src`, in PortOrder's (start, finish, index) order.
+  /// Builds a PortOrder per call: whole-schedule consumers build one.
+  [[nodiscard]] std::vector<ScheduledEvent> sender_events(
+      std::size_t src) const;
 
-  /// Events received by `dst`, ordered by start time.
-  [[nodiscard]] std::vector<ScheduledEvent> receiver_events(std::size_t dst) const;
+  /// Events received by `dst`, in PortOrder's (start, finish, index) order.
+  [[nodiscard]] std::vector<ScheduledEvent> receiver_events(
+      std::size_t dst) const;
 
   /// Per-processor busy/idle breakdown.
   [[nodiscard]] std::vector<ProcessorIdle> idle_profile() const;
@@ -86,6 +90,39 @@ class Schedule {
  private:
   std::size_t processor_count_ = 0;
   std::vector<ScheduledEvent> events_;
+};
+
+/// Which port of a processor an event occupies: its sender's send port or
+/// its receiver's receive port.
+enum class PortSide { kSend, kReceive };
+
+/// A schedule's event indices grouped by one port side, each group in
+/// (start, finish, schedule index) order: the order a sender works through
+/// its destinations and a receiver grants its sources. This is the one
+/// place a schedule is ordered by port; programs, validation, idle and
+/// utilization accounting all read it.
+///
+/// Built in O(E + P): a stable counting pass buckets the indices, which
+/// leaves every bucket in schedule-index order, and a bucket is sorted
+/// only when its events are not already in start order (every paper
+/// scheduler emits each port's events in start order, so the sort does
+/// not run for them).
+class PortOrder {
+ public:
+  PortOrder(const Schedule& schedule, PortSide side);
+
+  /// Indices into schedule.events() of processor p's events on this side.
+  [[nodiscard]] std::span<const std::size_t> operator[](
+      std::size_t p) const noexcept {
+    return {indices_.data() + offsets_[p], offsets_[p + 1] - offsets_[p]};
+  }
+  [[nodiscard]] std::size_t processor_count() const noexcept {
+    return offsets_.size() - 1;
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;  ///< P + 1 bucket bounds into indices_
+  std::vector<std::size_t> indices_;  ///< E event indices, bucket-major
 };
 
 /// Renders a schedule as an ASCII timing diagram in the paper's §3.3

@@ -17,18 +17,21 @@ ScheduleStats analyze_schedule(const Schedule& schedule, const CommMatrix& comm)
   stats.ratio_to_lower_bound =
       stats.lower_bound_s > 0.0 ? stats.completion_s / stats.lower_bound_s : 1.0;
 
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  const PortOrder by_sender{schedule, PortSide::kSend};
+  const PortOrder by_receiver{schedule, PortSide::kReceive};
   double bottleneck_total = -1.0;
   double utilization_sum = 0.0;
   for (std::size_t p = 0; p < n; ++p) {
     ProcessorStats row;
     row.processor = p;
-    for (const ScheduledEvent& event : schedule.sender_events(p)) {
-      row.send_busy_s += event.duration();
-      row.last_active_s = std::max(row.last_active_s, event.finish_s);
+    for (const std::size_t e : by_sender[p]) {
+      row.send_busy_s += events[e].duration();
+      row.last_active_s = std::max(row.last_active_s, events[e].finish_s);
     }
-    for (const ScheduledEvent& event : schedule.receiver_events(p)) {
-      row.recv_busy_s += event.duration();
-      row.last_active_s = std::max(row.last_active_s, event.finish_s);
+    for (const std::size_t e : by_receiver[p]) {
+      row.recv_busy_s += events[e].duration();
+      row.last_active_s = std::max(row.last_active_s, events[e].finish_s);
     }
     if (stats.completion_s > 0.0) {
       row.send_utilization = row.send_busy_s / stats.completion_s;

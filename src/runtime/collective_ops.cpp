@@ -23,12 +23,16 @@ ExchangeResult execute_exchange(const DirectoryService& directory,
   // Per-process programs: sends in the schedule's per-sender order,
   // receives in its per-receiver order. Interleave them send-ops first;
   // the cluster splits per port anyway.
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  const PortOrder by_sender{schedule, PortSide::kSend};
+  const PortOrder by_receiver{schedule, PortSide::kReceive};
   std::vector<std::vector<Op>> programs(n);
   for (std::size_t p = 0; p < n; ++p) {
-    for (const ScheduledEvent& event : schedule.sender_events(p))
-      programs[p].push_back(send_op(event.dst, payloads(event.src, event.dst)));
-    for (const ScheduledEvent& event : schedule.receiver_events(p))
-      programs[p].push_back(recv_op(event.src));
+    for (const std::size_t e : by_sender[p])
+      programs[p].push_back(
+          send_op(events[e].dst, payloads(events[e].src, events[e].dst)));
+    for (const std::size_t e : by_receiver[p])
+      programs[p].push_back(recv_op(events[e].src));
   }
 
   const VirtualCluster cluster{directory};
@@ -38,11 +42,11 @@ ExchangeResult execute_exchange(const DirectoryService& directory,
   result.completion_time = run.completion_time;
   result.delivered = Matrix<Payload>(n, n);
   for (std::size_t dst = 0; dst < n; ++dst) {
-    const auto receives = schedule.receiver_events(dst);
+    const std::span<const std::size_t> receives = by_receiver[dst];
     check(run.received[dst].size() == receives.size(),
           "execute_exchange: delivery count mismatch");
     for (std::size_t k = 0; k < receives.size(); ++k)
-      result.delivered(receives[k].src, dst) = run.received[dst][k];
+      result.delivered(events[receives[k]].src, dst) = run.received[dst][k];
   }
   return result;
 }

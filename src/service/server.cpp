@@ -48,15 +48,34 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 /// One accepted client. The reader thread lives here; writes from any
-/// worker serialize on write_mutex so frames are never interleaved.
+/// worker serialize on write_mutex so frames are never interleaved. The
+/// fd closes with the last reference, so a worker answering a queued Job
+/// never writes to a descriptor the kernel has handed to someone else.
 struct ScheduleServer::Connection {
+  ~Connection() {
+    if (fd >= 0) ::close(fd);
+  }
+
   int fd = -1;
   std::mutex write_mutex;
   std::atomic<bool> open{true};
+  /// Set as the reader exits: the acceptor may join and drop it.
+  std::atomic<bool> finished{false};
   std::thread reader;
   /// Work requests seen so far (reader-thread only; the per-connection
   /// request limit compares against this).
   std::uint64_t work_requests = 0;
+};
+
+/// One directory snapshot and, once a hierarchical miss has asked for it,
+/// its cluster detection: both pure functions of the snapshot, so every
+/// request served from it shares them.
+struct ScheduleServer::Snapshot {
+  explicit Snapshot(NetworkModel model) : network(std::move(model)) {}
+
+  const NetworkModel network;
+  std::once_flag detect_once;
+  Clustering clusters;  ///< set under detect_once
 };
 
 ScheduleServer::ScheduleServer(const DirectoryService& directory,
@@ -165,6 +184,7 @@ void ScheduleServer::accept_loop() {
     if (tcp_listen_fd_ >= 0)
       pfds[nfds++] = pollfd{tcp_listen_fd_, POLLIN, 0};
     const int ready = ::poll(pfds.data(), nfds, kPollMillis);
+    reap_finished_connections();
     if (ready <= 0) continue;  // timeout, EINTR, or transient error
     for (nfds_t k = 0; k < nfds; ++k) {
       if ((pfds[k].revents & POLLIN) == 0) continue;
@@ -190,6 +210,22 @@ void ScheduleServer::accept_loop() {
           std::thread([this, connection] { reader_loop(connection); });
     }
   }
+}
+
+void ScheduleServer::reap_finished_connections() {
+  std::vector<std::shared_ptr<Connection>> finished;
+  {
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    std::erase_if(connections_,
+                  [&finished](const std::shared_ptr<Connection>& c) {
+                    if (!c->finished.load(std::memory_order_acquire))
+                      return false;
+                    finished.push_back(c);
+                    return true;
+                  });
+  }
+  for (const auto& connection : finished) connection->reader.join();
+  reaped_connections_.fetch_add(finished.size(), std::memory_order_relaxed);
 }
 
 void ScheduleServer::reader_loop(const std::shared_ptr<Connection>& connection) {
@@ -273,6 +309,7 @@ void ScheduleServer::reader_loop(const std::shared_ptr<Connection>& connection) 
     }
   }
   connection->open.store(false, std::memory_order_release);
+  connection->finished.store(true, std::memory_order_release);
 }
 
 void ScheduleServer::worker_loop(std::size_t worker) {
@@ -356,7 +393,8 @@ void ScheduleServer::worker_loop(std::size_t worker) {
           break;
         }
       std::optional<ScheduleRequest> request;
-      std::shared_ptr<const NetworkModel> network;
+      std::shared_ptr<Snapshot> snapshot;
+      std::optional<CommMatrix> comm;  // built once: key, then solve
       if (!memo_hit) {
         request.emplace(decode_schedule_request(job->payload));
         if (request->messages.rows() != directory_.processor_count()) {
@@ -368,10 +406,10 @@ void ScheduleServer::worker_loop(std::size_t worker) {
           write_frame_to(*job->connection, FrameType::kError, body);
           failed = true;
         } else {
-          network = snapshot_at(request->now_s);
-          const CommMatrix comm{*network, request->messages};
+          snapshot = snapshot_at(request->now_s);
+          comm.emplace(snapshot->network, request->messages);
           built_key = make_schedule_key(request->kind, request->hierarchical,
-                                        comm.times(), options_.quantum);
+                                        comm->times(), options_.quantum);
           key = &built_key;
         }
       }
@@ -385,19 +423,19 @@ void ScheduleServer::worker_loop(std::size_t worker) {
               // Memo hit that must solve anyway (entry was evicted or
               // invalidated): pay the decode after all.
               request.emplace(decode_schedule_request(job->payload));
-              network = snapshot_at(request->now_s);
+              snapshot = snapshot_at(request->now_s);
+              comm.emplace(snapshot->network, request->messages);
             }
-            const CommMatrix comm{*network, request->messages};
             const auto s0 = std::chrono::steady_clock::now();
             Schedule planned = [&] {
               if (request->hierarchical) {
                 HierarchicalScheduler::Options hier;
                 hier.inner = request->kind;
                 hier.seed = options_.seed;
-                return HierarchicalScheduler{detect_clusters(*network), hier}
-                    .schedule(comm);
+                return HierarchicalScheduler{clusters_of(*snapshot), hier}
+                    .schedule(*comm);
               }
-              return scheduler_for(request->kind).schedule(comm);
+              return scheduler_for(request->kind).schedule(*comm);
             }();
             solve_s = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - s0)
@@ -489,7 +527,7 @@ void ScheduleServer::worker_loop(std::size_t worker) {
   }
 }
 
-std::shared_ptr<const NetworkModel> ScheduleServer::snapshot_at(
+std::shared_ptr<ScheduleServer::Snapshot> ScheduleServer::snapshot_at(
     double now_s) {
   const bool invariant = directory_.time_invariant();
   {
@@ -502,13 +540,22 @@ std::shared_ptr<const NetworkModel> ScheduleServer::snapshot_at(
   // Built outside the lock: a snapshot can be expensive (a drifting
   // directory regenerates P^2 random walks), and two workers racing to
   // build the same instant just do redundant work, not wrong work.
-  auto fresh =
-      std::make_shared<const NetworkModel>(directory_.snapshot(now_s));
+  auto fresh = std::make_shared<Snapshot>(directory_.snapshot(now_s));
   snapshot_builds_.fetch_add(1, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
   snapshot_now_ = now_s;
   snapshot_ = fresh;
   return fresh;
+}
+
+const Clustering& ScheduleServer::clusters_of(Snapshot& snapshot) {
+  // Outside snapshot_mutex_: detection is O(P^2) and only requests on
+  // this snapshot need to wait for it.
+  std::call_once(snapshot.detect_once, [&] {
+    snapshot.clusters = detect_clusters(snapshot.network);
+    cluster_detections_.fetch_add(1, std::memory_order_relaxed);
+  });
+  return snapshot.clusters;
 }
 
 void ScheduleServer::handle_admin(const std::shared_ptr<Connection>& connection,
@@ -582,6 +629,10 @@ MetricsRegistry ScheduleServer::scrape() const {
       .add(snapshot_reuses_.load(std::memory_order_relaxed));
   merged.counter("service.snapshot_builds")
       .add(snapshot_builds_.load(std::memory_order_relaxed));
+  merged.counter("service.cluster_detections")
+      .add(cluster_detections_.load(std::memory_order_relaxed));
+  merged.counter("service.connections_reaped")
+      .add(reaped_connections_.load(std::memory_order_relaxed));
   merged.gauge("service.queue_depth").set(static_cast<double>(queue_.size()));
   merged.gauge("service.queue_capacity")
       .set(static_cast<double>(queue_.capacity()));
@@ -671,16 +722,12 @@ void ScheduleServer::stop() {
     if (connection->reader.joinable()) connection->reader.join();
 
   // Workers drain whatever was queued (responses still reach open
-  // connections), then see the closed queue and exit.
+  // connections), then see the closed queue and exit. With them gone no
+  // Job holds a connection, so clearing the list closes every fd.
   queue_.close();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-
-  for (const auto& connection : connections) {
-    connection->open.store(false, std::memory_order_release);
-    if (connection->fd >= 0) ::close(connection->fd);
-    connection->fd = -1;
-  }
+  connections.clear();
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     connections_.clear();

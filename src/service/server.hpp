@@ -6,6 +6,10 @@
 //   queue ──► N worker threads ──► response written straight to the
 //   connection (per-connection write mutex keeps frames whole)
 //
+// A reader exits when its peer hangs up; the acceptor joins it on its
+// next poll tick and drops the connection, whose fd closes once no
+// queued request still refers to it.
+//
 // The acceptor listens on a UNIX-domain socket, a TCP socket, or both —
 // same framing, same queue, same drain semantics either way. Readers
 // only parse frames off the socket; all decode and scheduling work
@@ -26,7 +30,8 @@
 // allocates nothing in the solve hot path. Solved schedules land in the
 // shared ScheduleCache (quantized cost signatures, single-flight,
 // drift-invalidated — see schedule_cache.hpp); identical request bursts
-// solve once.
+// solve once. A directory snapshot carries its cluster detection, run on
+// the first hierarchical miss against it and shared by the rest.
 //
 // Observability: per-worker MetricsRegistry slots in a MetricsHub,
 // merged with cache and queue statistics on every scrape. The scrape is
@@ -46,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "service/schedule_cache.hpp"
 #include "service/wire.hpp"
@@ -187,6 +193,7 @@ class ScheduleServer {
 
  private:
   struct Connection;
+  struct Snapshot;
   struct Job {
     std::shared_ptr<Connection> connection;
     FrameType type = FrameType::kScheduleRequest;
@@ -195,13 +202,20 @@ class ScheduleServer {
   };
 
   void accept_loop();
+  /// Joins the reader of every connection whose peer has gone and drops
+  /// the server's reference; the fd closes with the last reference (a
+  /// queued Job may still hold one). Acceptor thread only.
+  void reap_finished_connections();
   void reader_loop(const std::shared_ptr<Connection>& connection);
   void worker_loop(std::size_t worker);
   /// Memoized directory view: time-invariant directories snapshot once
   /// ever; time-varying ones reuse the last snapshot while requests keep
   /// asking for the same now_s (replay traces and request bursts do),
   /// regenerating only when the instant changes. Thread-safe.
-  [[nodiscard]] std::shared_ptr<const NetworkModel> snapshot_at(double now_s);
+  [[nodiscard]] std::shared_ptr<Snapshot> snapshot_at(double now_s);
+  /// The snapshot's cluster detection, run on the first hierarchical
+  /// miss that asks for it and shared by every later one. Thread-safe.
+  [[nodiscard]] const Clustering& clusters_of(Snapshot& snapshot);
   void handle_admin(const std::shared_ptr<Connection>& connection,
                     const Frame& frame);
   void write_frame_to(Connection& connection, FrameType type,
@@ -238,7 +252,7 @@ class ScheduleServer {
 
   std::mutex snapshot_mutex_;
   double snapshot_now_ = -1.0;
-  std::shared_ptr<const NetworkModel> snapshot_;
+  std::shared_ptr<Snapshot> snapshot_;
 
   std::atomic<std::uint64_t> busy_rejections_{0};
   std::atomic<std::uint64_t> drain_rejections_{0};
@@ -246,6 +260,8 @@ class ScheduleServer {
   std::atomic<std::uint64_t> accepted_connections_{0};
   std::atomic<std::uint64_t> snapshot_reuses_{0};
   std::atomic<std::uint64_t> snapshot_builds_{0};
+  std::atomic<std::uint64_t> cluster_detections_{0};
+  std::atomic<std::uint64_t> reaped_connections_{0};
   std::chrono::steady_clock::time_point started_at_;
 };
 

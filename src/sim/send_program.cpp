@@ -1,6 +1,6 @@
 #include "sim/send_program.hpp"
 
-#include <algorithm>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -39,37 +39,42 @@ SendProgram::SendProgram(std::vector<std::vector<std::size_t>> orders,
   });
 }
 
-SendProgram SendProgram::from_schedule(const Schedule& schedule) {
-  const std::size_t n = schedule.processor_count();
-  // Sort one index array per port side instead of calling
-  // sender_events/receiver_events per processor — those filter the whole
-  // event list each time, O(P·E) = O(P³) at wide P.
-  const std::vector<ScheduledEvent>& events = schedule.events();
-  std::vector<std::size_t> by_send(events.size());
-  std::vector<std::size_t> by_recv(events.size());
-  for (std::size_t e = 0; e < events.size(); ++e) by_send[e] = by_recv[e] = e;
-  const auto time_order = [&events](bool by_sender) {
-    return [&events, by_sender](std::size_t a, std::size_t b) {
-      const ScheduledEvent& x = events[a];
-      const ScheduledEvent& y = events[b];
-      const std::size_t px = by_sender ? x.src : x.dst;
-      const std::size_t py = by_sender ? y.src : y.dst;
-      if (px != py) return px < py;
-      if (x.start_s != y.start_s) return x.start_s < y.start_s;
-      if (x.finish_s != y.finish_s) return x.finish_s < y.finish_s;
-      return a < b;  // schedule order as the final tiebreak: total, stable
-    };
-  };
-  std::sort(by_send.begin(), by_send.end(), time_order(true));
-  std::sort(by_recv.begin(), by_recv.end(), time_order(false));
+namespace {
 
-  std::vector<std::vector<std::size_t>> orders(n);
-  std::vector<std::vector<std::size_t>> recv_orders(n);
-  for (const std::size_t e : by_send)
-    orders[events[e].src].push_back(events[e].dst);
-  for (const std::size_t e : by_recv)
-    recv_orders[events[e].dst].push_back(events[e].src);
-  return SendProgram{std::move(orders), std::move(recv_orders)};
+/// One side's order lists: each port's kept events in PortOrder, naming
+/// the far end (destinations for senders, sources for receivers).
+std::vector<std::vector<std::size_t>> port_lists(
+    const Schedule& schedule, PortSide side,
+    const Matrix<unsigned char>* keep) {
+  const PortOrder order{schedule, side};
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  std::vector<std::vector<std::size_t>> lists(order.processor_count());
+  for (std::size_t p = 0; p < lists.size(); ++p) {
+    const std::span<const std::size_t> port = order[p];
+    lists[p].reserve(port.size());
+    for (const std::size_t e : port) {
+      const ScheduledEvent& event = events[e];
+      if (keep != nullptr && (*keep)(event.src, event.dst) == 0) continue;
+      lists[p].push_back(side == PortSide::kSend ? event.dst : event.src);
+    }
+  }
+  return lists;
+}
+
+}  // namespace
+
+SendProgram SendProgram::from_schedule(const Schedule& schedule) {
+  return SendProgram{port_lists(schedule, PortSide::kSend, nullptr),
+                     port_lists(schedule, PortSide::kReceive, nullptr)};
+}
+
+SendProgram SendProgram::from_schedule(const Schedule& schedule,
+                                       const Matrix<unsigned char>& keep) {
+  const std::size_t n = schedule.processor_count();
+  if (keep.rows() != n || keep.cols() != n)
+    throw InputError("SendProgram: keep mask size mismatch");
+  return SendProgram{port_lists(schedule, PortSide::kSend, &keep),
+                     port_lists(schedule, PortSide::kReceive, &keep)};
 }
 
 SendProgram SendProgram::from_steps(const StepSchedule& steps) {

@@ -11,6 +11,7 @@
 
 #include "core/schedule.hpp"
 #include "core/step_schedule.hpp"
+#include "util/matrix.hpp"
 
 namespace hcs {
 
@@ -35,9 +36,15 @@ class SendProgram {
   SendProgram(std::vector<std::vector<std::size_t>> orders,
               std::vector<std::vector<std::size_t>> recv_orders);
 
-  /// Orders from a timed schedule: per-sender events by start time, and
-  /// per-receiver events by start time.
+  /// Orders from a timed schedule: each port's events in PortOrder's
+  /// (start, finish, schedule index) order, on both sides. O(E + P).
   [[nodiscard]] static SendProgram from_schedule(const Schedule& schedule);
+
+  /// The same orders restricted to the events whose pair (src, dst) has
+  /// `keep(src, dst) != 0` — an executor's round over the pairs still
+  /// outstanding, dropping the sent ones and zero-cost padding.
+  [[nodiscard]] static SendProgram from_schedule(
+      const Schedule& schedule, const Matrix<unsigned char>& keep);
 
   /// Orders from a step schedule: step order on both sides.
   [[nodiscard]] static SendProgram from_steps(const StepSchedule& steps);

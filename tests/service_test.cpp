@@ -3,8 +3,9 @@
 // quantization-tolerance invalidation, single-flight), the bounded
 // request queue, the MetricsHub (concurrent record/scrape — run under
 // tsan in CI), and the daemon end to end over real UNIX and TCP
-// sockets, including sweep-shard service and the per-connection
-// request limit.
+// sockets, including sweep-shard service, the per-connection request
+// limit, per-snapshot cluster detection and the reaping of closed
+// connections.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <span>
@@ -24,8 +26,10 @@
 #include <vector>
 
 #include "core/comm_matrix.hpp"
+#include "core/hierarchical_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "experiment/sweep_shard.hpp"
+#include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
 #include "service/client.hpp"
@@ -642,6 +646,141 @@ TEST(ScheduleServerTest, DriftingDirectoryInvalidatesByKeyRotation) {
   const ScheduleResponse drifted = client.schedule(request);
   EXPECT_FALSE(drifted.cache_hit)
       << "drift past quantization tolerance must miss";
+  server.stop();
+}
+
+// --- per-snapshot cluster detection ------------------------------------
+
+/// The response the daemon gave before detection was memoized: detect on
+/// a fresh snapshot, then solve hierarchically.
+ScheduleResponse fresh_hierarchical(const DirectoryService& directory,
+                                    const ScheduleRequest& request,
+                                    std::uint64_t seed) {
+  const NetworkModel network = directory.snapshot(request.now_s);
+  HierarchicalScheduler::Options hier;
+  hier.inner = request.kind;
+  hier.seed = seed;
+  const Schedule schedule =
+      HierarchicalScheduler{detect_clusters(network), hier}.schedule(
+          CommMatrix{network, request.messages});
+  ScheduleResponse response;
+  response.completion_s = schedule.completion_time();
+  response.processors = schedule.processor_count();
+  response.events = schedule.events();
+  return response;
+}
+
+TEST(ScheduleServerTest, HierarchicalMissesDetectClustersOncePerSnapshot) {
+  const std::size_t p = 24;
+  const StaticDirectory directory{generate_clustered_network(p, 31)};
+  ServerOptions options;
+  options.socket_path = test_socket_path("hier_static");
+  options.workers = 2;
+  ScheduleServer server(directory, options);
+  server.start();
+
+  ServiceClient client(options.socket_path);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ScheduleRequest request;
+    request.kind = SchedulerKind::kOpenShop;
+    request.hierarchical = true;
+    request.messages =
+        make_instance(Scenario::kMixedMessages, p, seed).messages;
+    const ScheduleResponse served = client.schedule(request);
+    EXPECT_FALSE(served.cache_hit);
+    const ScheduleResponse expected =
+        fresh_hierarchical(directory, request, options.seed);
+    EXPECT_EQ(encode_schedule_response(served),
+              encode_schedule_response(expected))
+        << "seed " << seed;
+  }
+  // A static directory has one snapshot: four misses, one detection.
+  EXPECT_EQ(server.scrape().counter("service.cluster_detections").value(), 1u);
+  server.stop();
+}
+
+TEST(ScheduleServerTest, DriftingSnapshotsDetectClustersOnceEach) {
+  const std::size_t p = 16;
+  DriftingDirectory::Options drift;
+  drift.update_period_s = 1.0;
+  const DriftingDirectory directory{generate_clustered_network(p, 32), 7,
+                                    drift};
+  ServerOptions options;
+  options.socket_path = test_socket_path("hier_drift");
+  options.workers = 1;  // serial: one snapshot build per instant change
+  ScheduleServer server(directory, options);
+  server.start();
+
+  ServiceClient client(options.socket_path);
+  // Distinct workloads, so every request misses. Instants 0, 1, 2 and a
+  // return to 0 are four snapshots solved hierarchically; the flat
+  // request at instant 3 builds a fifth snapshot and detects nothing.
+  const std::vector<std::pair<double, bool>> plan = {
+      {0.0, true}, {0.0, true}, {1.0, true}, {1.0, true},
+      {2.0, true}, {0.0, true}, {3.0, false}};
+  std::uint64_t seed = 0;
+  for (const auto& [now_s, hierarchical] : plan) {
+    ScheduleRequest request;
+    request.kind = SchedulerKind::kGreedy;
+    request.hierarchical = hierarchical;
+    request.now_s = now_s;
+    request.messages =
+        make_instance(Scenario::kMixedMessages, p, ++seed).messages;
+    const ScheduleResponse served = client.schedule(request);
+    EXPECT_FALSE(served.cache_hit);
+    if (hierarchical)
+      EXPECT_EQ(encode_schedule_response(served),
+                encode_schedule_response(
+                    fresh_hierarchical(directory, request, options.seed)))
+          << "request " << seed;
+  }
+  EXPECT_EQ(server.scrape().counter("service.snapshot_builds").value(), 5u);
+  EXPECT_EQ(server.scrape().counter("service.cluster_detections").value(), 4u);
+  server.stop();
+}
+
+// --- connection lifecycle ----------------------------------------------
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++count;
+  return count;
+}
+
+TEST(ScheduleServerTest, ClosedConnectionsAreReaped) {
+  const std::size_t p = 8;
+  const StaticDirectory directory{generate_network(p, 33)};
+  ServerOptions options;
+  options.socket_path = test_socket_path("reap");
+  options.workers = 1;
+  ScheduleServer server(directory, options);
+  server.start();
+
+  ScheduleRequest request;
+  request.kind = SchedulerKind::kGreedy;
+  request.messages = make_instance(Scenario::kSmallMessages, p, 1).messages;
+  const std::size_t before = open_fd_count();
+  constexpr std::uint64_t kCycles = 300;
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    ServiceClient client(options.socket_path);
+    // Every tenth connection is served before it closes; the rest hang
+    // up at once.
+    if (cycle % 10 == 0) EXPECT_EQ(client.schedule(request).processors, p);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto reaped = [&server] {
+    return server.scrape().counter("service.connections_reaped").value();
+  };
+  while (reaped() < kCycles && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(reaped(), kCycles);
+  EXPECT_EQ(server.scrape().counter("service.connections").value(), kCycles);
+  const std::size_t after = open_fd_count();
+  EXPECT_LE(after, before + 2) << "before " << before;
+  EXPECT_GE(after + 2, before) << "before " << before;
   server.stop();
 }
 
