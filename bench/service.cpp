@@ -18,7 +18,17 @@
 //                        latency is charged from each request's intended
 //                        arrival instant, so queueing delay is not
 //                        coordinated away — the p99_us counters across
-//                        the args are the latency-vs-offered-load curve.
+//                        the args are the latency-vs-offered-load curve;
+//   BM_ServiceColdWide   the cold wide regime: a clustered P-node fabric,
+//                        hierarchical open shop, a workload pool cycling
+//                        past the cache so every request is a miss — the
+//                        solve is about half of each request, and cost
+//                        matrix, key build, encode, MiB frames and the
+//                        client decode are the rest.
+//
+// Two layers of that miss path are also timed alone, on the same fabric
+// and workloads: BM_CostMatrix (the CommMatrix a request's key and solve
+// share) and BM_ScheduleKey (quantizing its P^2 costs into the cache key).
 //
 // Each benchmark runs a real in-process ScheduleServer on a temp socket
 // and measures blocking round trips from one client connection, so the
@@ -33,10 +43,12 @@
 #include <string>
 #include <vector>
 
+#include "core/comm_matrix.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
 #include "service/client.hpp"
 #include "service/replay.hpp"
+#include "service/schedule_cache.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
 #include "util/stats.hpp"
@@ -225,6 +237,76 @@ BENCHMARK(BM_ServiceOpenLoop)
     ->Arg(3200)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------- cold wide path
+
+constexpr std::size_t kWideSites = 4;
+constexpr std::size_t kWidePool = 16;
+
+hcs::NetworkModel wide_network(std::size_t p) {
+  hcs::ClusteredNetworkOptions sites;
+  sites.cluster_count = kWideSites;
+  return hcs::generate_clustered_network(p, kSeed, sites);
+}
+
+void BM_ServiceColdWide(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const hcs::StaticDirectory directory{wide_network(p)};
+  hcs::service::ServerOptions options;
+  options.socket_path = bench_socket_path("coldwide");
+  options.workers = 1;
+  // kWidePool workloads cycled in order through an LRU half their number:
+  // each key has aged out before it comes around again.
+  options.cache.shards = 1;
+  options.cache.capacity = kWidePool / 2;
+  hcs::service::ScheduleServer server(directory, options);
+  server.start();
+  {
+    const auto pool = workload_pool(p, kWidePool);
+    hcs::service::ServiceClient client(options.socket_path);
+    std::vector<double> latencies_us;
+    std::size_t misses = 0, i = 0;
+    for (auto _ : state) {
+      hcs::service::ScheduleRequest request;
+      request.kind = hcs::SchedulerKind::kOpenShop;
+      request.hierarchical = true;
+      request.messages = pool[i++ % pool.size()];
+      const auto t0 = std::chrono::steady_clock::now();
+      const hcs::service::ScheduleResponse response = client.schedule(request);
+      const auto t1 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(response.completion_s);
+      latencies_us.push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+      misses += response.cache_hit ? 0 : 1;
+    }
+    if (!latencies_us.empty()) {
+      state.counters["p50_us"] = hcs::quantile(latencies_us, 0.5);
+      state.counters["p99_us"] = hcs::quantile(latencies_us, 0.99);
+      state.counters["miss_rate"] = static_cast<double>(misses) /
+                                    static_cast<double>(latencies_us.size());
+    }
+  }
+  server.stop();
+}
+BENCHMARK(BM_ServiceColdWide)->Arg(256)->Unit(benchmark::kMillisecond);
+
+void BM_CostMatrix(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const hcs::NetworkModel network = wide_network(p);
+  const auto pool = workload_pool(p, 1);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(hcs::CommMatrix{network, pool[0]});
+}
+BENCHMARK(BM_CostMatrix)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+void BM_ScheduleKey(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const hcs::CommMatrix comm{wide_network(p), workload_pool(p, 1)[0]};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(hcs::service::make_schedule_key(
+        hcs::SchedulerKind::kOpenShop, true, comm.times(), 0.25));
+}
+BENCHMARK(BM_ScheduleKey)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

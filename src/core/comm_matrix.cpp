@@ -16,20 +16,18 @@ CommMatrix::CommMatrix(Matrix<double> times) : times_(std::move(times)) {
   });
 }
 
-namespace {
-
-Matrix<double> build_times(const NetworkModel& network,
-                           const MessageMatrix& messages) {
+CommMatrix::CommMatrix(const NetworkModel& network,
+                       const MessageMatrix& messages) {
   if (messages.rows() != network.processor_count() ||
       messages.cols() != network.processor_count())
     throw InputError("CommMatrix: message matrix does not match network size");
-  return network.cost_matrix(messages);
+  // The kernel's entries are T + m/B under NetworkModel's parameter
+  // invariants (T >= 0, off-diagonal B > 0) with a zero diagonal, so the
+  // per-entry checks of the explicit-matrix constructor cannot fail here.
+  times_ = network.cost_matrix(messages);
+  if (times_.empty())
+    throw InputError("CommMatrix: time matrix must be square and non-empty");
 }
-
-}  // namespace
-
-CommMatrix::CommMatrix(const NetworkModel& network, const MessageMatrix& messages)
-    : CommMatrix(build_times(network, messages)) {}
 
 double CommMatrix::lower_bound() const {
   double bound = 0.0;

@@ -1,6 +1,7 @@
 #include "core/hierarchical_scheduler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -10,24 +11,6 @@
 
 namespace hcs {
 namespace {
-
-/// Events of `schedule` as (src, dst) pairs in start order (ties by src,
-/// then dst, for determinism). Only the order survives splicing — the
-/// final times come from the list pass.
-std::vector<std::pair<std::size_t, std::size_t>> event_order(
-    const Schedule& schedule) {
-  std::vector<ScheduledEvent> events = schedule.events();
-  std::sort(events.begin(), events.end(),
-            [](const ScheduledEvent& a, const ScheduledEvent& b) {
-              if (a.start_s != b.start_s) return a.start_s < b.start_s;
-              if (a.src != b.src) return a.src < b.src;
-              return a.dst < b.dst;
-            });
-  std::vector<std::pair<std::size_t, std::size_t>> order;
-  order.reserve(events.size());
-  for (const ScheduledEvent& e : events) order.emplace_back(e.src, e.dst);
-  return order;
-}
 
 /// The comm-medoid of `members`: the member with the least total exchange
 /// time with its fellows, ties to the lowest id.
@@ -70,8 +53,8 @@ std::vector<std::pair<std::size_t, std::size_t>> hierarchical_order(
     for (std::size_t a = 0; a < m; ++a)
       for (std::size_t b = 0; b < m; ++b)
         if (a != b) sub(a, b) = comm.time(members[a], members[b]);
-    for (const auto& [src, dst] : event_order(inner.schedule(CommMatrix{
-             std::move(sub)})))
+    const Schedule inner_schedule = inner.schedule(CommMatrix{std::move(sub)});
+    for (const auto& [src, dst] : detail::event_order(inner_schedule))
       order.emplace_back(members[src], members[dst]);
   }
 
@@ -96,7 +79,7 @@ std::vector<std::pair<std::size_t, std::size_t>> hierarchical_order(
   // and receiver appears at most once, so rounds pack side by side
   // instead of piling onto one port.
   for (const auto& [a, b] :
-       event_order(inner.schedule(CommMatrix{std::move(quotient)}))) {
+       detail::event_order(inner.schedule(CommMatrix{std::move(quotient)}))) {
     const std::vector<std::size_t>& from = clusters[a];
     const std::vector<std::size_t>& to = clusters[b];
     const std::size_t rounds = std::max(from.size(), to.size());
@@ -131,6 +114,31 @@ Schedule splice(const CommMatrix& comm, std::size_t n,
 }
 
 }  // namespace
+
+// Sorts 16-byte (start, src:dst) keys rather than copying and sorting whole
+// events (an index fits 32 bits: no n x n cost matrix has n >= 2^32).
+// Equal keys name the same pair, so the order is fully determined.
+std::vector<std::pair<std::size_t, std::size_t>> detail::event_order(
+    const Schedule& schedule) {
+  struct Key {
+    double start;
+    std::uint64_t pair;  ///< src << 32 | dst: orders by src, then dst
+  };
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  std::vector<Key> keys;
+  keys.reserve(events.size());
+  for (const ScheduledEvent& e : events)
+    keys.push_back({e.start_s, std::uint64_t{e.src} << 32 | e.dst});
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.start != b.start) return a.start < b.start;
+    return a.pair < b.pair;
+  });
+  std::vector<std::pair<std::size_t, std::size_t>> order;
+  order.reserve(keys.size());
+  for (const Key& key : keys)
+    order.emplace_back(key.pair >> 32, key.pair & 0xFFFFFFFFu);
+  return order;
+}
 
 HierarchicalScheduler::HierarchicalScheduler(Clustering clustering,
                                              Options options)
@@ -249,8 +257,9 @@ Schedule HierarchicalScheduler::schedule_degraded(
       for (std::size_t a = 0; a < m; ++a)
         for (std::size_t b = 0; b < m; ++b)
           if (a != b) sub(a, b) = comm.time(alive[a], alive[b]);
-      for (const auto& [src, dst] : event_order(inner->schedule(CommMatrix{
-               std::move(sub)})))
+      const Schedule inner_schedule =
+          inner->schedule(CommMatrix{std::move(sub)});
+      for (const auto& [src, dst] : detail::event_order(inner_schedule))
         order.emplace_back(alive[src], alive[dst]);
     }
   } else {

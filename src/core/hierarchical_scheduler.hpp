@@ -31,11 +31,20 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "netmodel/cluster_detect.hpp"
 
 namespace hcs {
+
+namespace detail {
+/// The order the splice pass consumes from an inner schedule: its events
+/// as (src, dst) pairs in start order, ties by src, then dst. Only the
+/// order survives splicing — the final times come from the list pass.
+[[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> event_order(
+    const Schedule& schedule);
+}  // namespace detail
 
 class HierarchicalScheduler final : public Scheduler,
                                     public FaultAwareScheduler {

@@ -1,7 +1,9 @@
 #include "netmodel/cluster_detect.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -49,9 +51,77 @@ struct PairBand {
 
 }  // namespace
 
-std::int32_t quantize_log_level(double x, double quantum) {
+std::int32_t detail::quantize_log_level_exact(double x, double quantum) {
   return static_cast<std::int32_t>(
       std::llround(std::log(std::max(x, 1e-12)) / quantum));
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+namespace {
+
+using Doubles = double __attribute__((vector_size(32)));
+using Words = std::uint64_t __attribute__((vector_size(32)));
+constexpr std::size_t kLanes = 4;
+
+/// quantize_log_level's fast path on four lanes. Two steps differ in form
+/// only: the exponent converts through a biased bit pattern (exact for
+/// these small integers) and the clamp is a bit select. Requires
+/// quantum > 2^-20 and out.size() == xs.size().
+__attribute__((target("avx2"))) void quantize_levels_avx2(
+    std::span<const double> xs, double quantum, std::span<std::int32_t> out) {
+  constexpr double kLn2 = 0.69314718055994530942;
+  constexpr std::uint64_t kSqrtHalfBits = 0x3FE6A09E667F3BCDULL;
+  constexpr std::uint64_t kBias = 0x4000000000000000ULL;  // keeps e >= 0
+  constexpr double kSeriesError = 1.3e-6;
+  constexpr double kRoundToInt = 0x1.8p52;
+  constexpr std::uint64_t kNoSign = 0x7FFFFFFFFFFFFFFFULL;  // |v| as a mask
+  std::size_t i = 0;
+  for (; i + kLanes <= xs.size(); i += kLanes) {
+    Doubles x;
+    std::memcpy(&x, xs.data() + i, sizeof x);
+    const Words above = reinterpret_cast<Words>(x > 1e-12);
+    const Words bits = (reinterpret_cast<Words>(x) & above) |
+                       (std::bit_cast<std::uint64_t>(1e-12) & ~above);
+    const Words offset = bits - kSqrtHalfBits + kBias;
+    const Doubles e = reinterpret_cast<Doubles>((offset >> 52) |
+                                                0x4330000000000000ULL) -
+                      (0x1p52 + 1024.0);
+    const Doubles m = reinterpret_cast<Doubles>(
+        bits - ((offset - kBias) & 0xFFF0000000000000ULL));
+    const Doubles r = 1.0 / ((m + 1.0) * quantum);
+    const Doubles s = (m - 1.0) * r * quantum;
+    const Doubles s2 = s * s;
+    const Doubles ln_m = 2.0 * s * (1.0 + s2 * (1.0 / 3 + s2 * (1.0 / 5)));
+    const Doubles ln_x = e * kLn2 + ln_m + (x - x);
+    const Doubles k = (ln_x * (r * (m + 1.0)) + kRoundToInt) - kRoundToInt;
+    const Doubles distance = reinterpret_cast<Doubles>(
+        reinterpret_cast<Words>(ln_x - k * quantum) & kNoSign);
+    const Doubles magnitude =
+        reinterpret_cast<Doubles>(reinterpret_cast<Words>(ln_x) & kNoSign);
+    // False in NaN lanes (non-finite x), like the scalar test.
+    const auto clear =
+        distance + kSeriesError + 0x1p-47 * magnitude < 0.5 * quantum;
+    for (std::size_t lane = 0; lane < kLanes; ++lane)
+      out[i + lane] =
+          clear[lane] ? static_cast<std::int32_t>(k[lane])
+                      : detail::quantize_log_level_exact(xs[i + lane], quantum);
+  }
+  for (; i < xs.size(); ++i) out[i] = quantize_log_level(xs[i], quantum);
+}
+
+}  // namespace
+#endif
+
+void quantize_log_levels(std::span<const double> xs, double quantum,
+                         std::span<std::int32_t> out) {
+  if (out.size() != xs.size())
+    throw InputError("quantize_log_levels: output size mismatch");
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (quantum > 0x1p-20 && __builtin_cpu_supports("avx2"))
+    return quantize_levels_avx2(xs, quantum, out);
+#endif
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    out[i] = quantize_log_level(xs[i], quantum);
 }
 
 Clustering detect_clusters(const NetworkModel& network,

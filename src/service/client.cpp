@@ -8,11 +8,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <utility>
+
+#include "service/socket_io.hpp"
 
 namespace hcs::service {
 namespace {
@@ -121,27 +122,17 @@ ServiceClient& ServiceClient::operator=(ServiceClient&& other) noexcept {
 
 void ServiceClient::send_frame(FrameType type,
                                std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kFrameHeaderBytes + payload.size());
-  append_frame(bytes, type, payload);
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw InputError("ServiceClient: send failed: " +
-                       std::string(std::strerror(errno)));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  if (!service::send_frame(fd_, type, payload))
+    throw InputError("ServiceClient: send failed: " +
+                     std::string(std::strerror(errno)));
 }
 
 Frame ServiceClient::read_frame() {
-  std::array<std::uint8_t, 64 * 1024> chunk;
   while (true) {
     if (auto frame = reader_.next()) return std::move(*frame);
-    const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
+    // Straight into the frame being assembled: no bounce buffer.
+    const std::span<std::uint8_t> into = reader_.recv_buffer();
+    const ssize_t n = ::recv(fd_, into.data(), into.size(), 0);
     if (n == 0)
       throw InputError("ServiceClient: server closed the connection");
     if (n < 0) {
@@ -149,7 +140,7 @@ Frame ServiceClient::read_frame() {
       throw InputError("ServiceClient: recv failed: " +
                        std::string(std::strerror(errno)));
     }
-    reader_.feed({chunk.data(), static_cast<std::size_t>(n)});
+    reader_.commit(static_cast<std::size_t>(n));
   }
 }
 
@@ -170,7 +161,9 @@ ScheduleResponse ServiceClient::schedule(const ScheduleRequest& request) {
   if (frame.type != FrameType::kScheduleResponse)
     throw WireError("ServiceClient: expected kScheduleResponse, got type " +
                     std::to_string(static_cast<int>(frame.type)));
-  return decode_schedule_response(frame.payload);
+  ScheduleResponse response = decode_schedule_response(frame.payload);
+  reader_.recycle(std::move(frame.payload));
+  return response;
 }
 
 std::vector<std::uint8_t> ServiceClient::sweep_shard(

@@ -50,9 +50,8 @@ ScheduleKey make_schedule_key(SchedulerKind kind, bool hierarchical,
   key.kind = static_cast<std::uint8_t>(kind);
   key.hierarchical = hierarchical ? 1 : 0;
   key.processors = static_cast<std::uint32_t>(cost.rows());
-  key.levels.reserve(cost.rows() * cost.cols());
-  for (const double c : cost.data())
-    key.levels.push_back(quantize_log_level(c, quantum));
+  key.levels.resize(cost.data().size());
+  quantize_log_levels(cost.data(), quantum, key.levels);
   // Digest covers every identity-bearing field; computed once here so
   // equal keys always carry equal digests.
   std::uint8_t header[8] = {};
@@ -151,6 +150,9 @@ void ScheduleCache::publish(const ScheduleKey& key,
                             const std::shared_ptr<Flight>& flight,
                             std::shared_ptr<const Schedule> schedule,
                             EncodedPayload encoded) {
+  if (!schedule || !encoded)
+    throw InputError("ScheduleCache::publish: schedule and its encoding "
+                     "must both be present");
   Shard& shard = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);

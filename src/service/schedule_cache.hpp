@@ -104,9 +104,9 @@ class ScheduleCache {
   /// abort(), followers block on it.
   class Flight;
 
-  /// Optional pre-serialized payload stored next to a schedule. Opaque
-  /// to the cache; the server stashes the canonical wire encoding here so
-  /// hits skip re-serializing the event list.
+  /// Pre-serialized payload stored next to every schedule. Opaque to the
+  /// cache; the server stashes the canonical wire encoding here so hits
+  /// skip re-serializing the event list.
   using EncodedPayload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   /// Outcome of acquire(). Exactly one of three shapes:
@@ -115,7 +115,7 @@ class ScheduleCache {
   ///  - coalesced: schedule set (or error non-empty), coalesced == true.
   struct Lookup {
     std::shared_ptr<const Schedule> schedule;
-    EncodedPayload encoded;  ///< whatever publish() stored, if anything
+    EncodedPayload encoded;  ///< what publish() stored with the schedule
     std::shared_ptr<Flight> flight;
     std::string error;  ///< set when a coalesced leader aborted
     bool hit = false;
@@ -133,12 +133,14 @@ class ScheduleCache {
   /// and only until the leader publishes or aborts.
   [[nodiscard]] Lookup acquire(const ScheduleKey& key);
 
-  /// Leader path: inserts the solved schedule (evicting LRU past
-  /// capacity), wakes followers. `flight` must come from this key's
-  /// acquire(). `encoded` optionally rides along (see EncodedPayload).
+  /// Leader path: inserts the solved schedule with its encoding (evicting
+  /// LRU past capacity), wakes followers. `flight` must come from this
+  /// key's acquire(). Throws InputError, changing nothing, when either
+  /// pointer is null: every entry and every coalesced follower gets both,
+  /// so readers never check. The leader then abort()s the flight.
   void publish(const ScheduleKey& key, const std::shared_ptr<Flight>& flight,
                std::shared_ptr<const Schedule> schedule,
-               EncodedPayload encoded = nullptr);
+               EncodedPayload encoded);
 
   /// Leader path on failure: wakes followers with `error`; nothing is
   /// cached, so the next request retries the solve.

@@ -38,8 +38,10 @@
 // so the whole protocol is unit- and fuzz-testable without a socket.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -130,6 +132,12 @@ struct ErrorFrame {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_schedule_response(
     const ScheduleResponse& response);
+/// The canonical encoding of a solved schedule (flags zero): the bytes
+/// encode_schedule_response(ScheduleResponse) writes for a response
+/// carrying this schedule's events, completion and processor count,
+/// written straight from the schedule without copying its events.
+[[nodiscard]] std::vector<std::uint8_t> encode_schedule_response(
+    const Schedule& schedule);
 [[nodiscard]] ScheduleResponse decode_schedule_response(
     std::span<const std::uint8_t> payload);
 
@@ -138,32 +146,74 @@ struct ErrorFrame {
 
 // --- framing ------------------------------------------------------------
 
+/// The 5-byte header of a frame carrying `payload_bytes`. Throws WireError
+/// when the payload exceeds kMaxPayloadBytes.
+[[nodiscard]] std::array<std::uint8_t, kFrameHeaderBytes> frame_header(
+    FrameType type, std::size_t payload_bytes);
+
 /// Appends one complete frame (header + payload) to `out`. Throws
 /// WireError when the payload exceeds kMaxPayloadBytes.
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   std::span<const std::uint8_t> payload);
 
-/// Incremental frame decoder for a byte stream: feed() raw bytes as they
-/// arrive, next() yields complete frames in order. Malformed headers
-/// (oversized length, unknown type) throw WireError — the stream cannot
-/// be resynchronized after that, so callers drop the connection.
+/// Incremental frame decoder for a byte stream. Bytes land in the frame
+/// being assembled: a socket reader asks recv_buffer() where the next
+/// bytes go (the rest of the current header, or the rest of the current
+/// payload, never past it), reads into it and commit()s the count, so a
+/// payload arrives in its frame's own buffer with no intermediate copy;
+/// feed() copies bytes that are already in memory through the same
+/// steps. next() yields complete frames in order. A malformed header
+/// (oversized length, unknown type) makes next() throw WireError once the
+/// frames before it are taken — the stream cannot be resynchronized after
+/// that, so callers drop the connection.
+///
+/// A payload's capacity is reserved at its declared length (at most
+/// kMaxPayloadBytes) when its header completes, but the buffer is sized
+/// kPayloadStep at a time as bytes arrive: a header alone commits little
+/// memory.
 class FrameReader {
  public:
   /// Appends raw stream bytes.
   void feed(std::span<const std::uint8_t> bytes);
 
+  /// Where the next stream bytes belong; never empty. Throws WireError
+  /// once a malformed header has been read.
+  [[nodiscard]] std::span<std::uint8_t> recv_buffer();
+
+  /// Records that the first `bytes` of recv_buffer() were filled.
+  void commit(std::size_t bytes);
+
   /// Extracts the next complete frame, or nullopt when more bytes are
   /// needed. Throws WireError on a malformed header.
   [[nodiscard]] std::optional<Frame> next();
 
-  /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return buffer_.size() - consumed_;
+  /// Bytes received but not yet consumed by next().
+  [[nodiscard]] std::size_t buffered() const noexcept;
+
+  /// Hands a taken frame's payload back once the caller is done with it;
+  /// the next payload that fits its capacity is received into it. A
+  /// long-lived connection then reuses memory that stays mapped instead of
+  /// allocating (and first-touching) a fresh buffer per frame.
+  void recycle(std::vector<std::uint8_t>&& payload) noexcept {
+    spare_ = std::move(payload);
   }
 
  private:
-  std::vector<std::uint8_t> buffer_;
-  std::size_t consumed_ = 0;
+  /// Validates the complete header and starts its payload.
+  void start_payload();
+
+  /// Largest payload slice made ready for one recv.
+  static constexpr std::size_t kPayloadStep = std::size_t{1} << 20;
+
+  std::array<std::uint8_t, kFrameHeaderBytes> header_{};
+  std::size_t header_filled_ = 0;
+  bool in_payload_ = false;
+  Frame partial_;  ///< capacity reserved at the header's length
+  std::size_t payload_length_ = 0;  ///< the header's length
+  std::size_t payload_filled_ = 0;
+  std::deque<Frame> ready_;
+  std::vector<std::uint8_t> spare_;  ///< recycle()d payload buffer
+  std::string error_;  ///< malformed-header diagnostic; the stream is dead
 };
 
 }  // namespace hcs::service

@@ -39,6 +39,13 @@ SendProgram::SendProgram(std::vector<std::vector<std::size_t>> orders,
   });
 }
 
+SendProgram::SendProgram(FromOneEventList,
+                         std::vector<std::vector<std::size_t>> orders,
+                         std::vector<std::vector<std::size_t>> recv_orders)
+    : SendProgram(std::move(orders)) {
+  recv_orders_ = std::move(recv_orders);
+}
+
 namespace {
 
 /// One side's order lists: each port's kept events in PortOrder, naming
@@ -64,7 +71,8 @@ std::vector<std::vector<std::size_t>> port_lists(
 }  // namespace
 
 SendProgram SendProgram::from_schedule(const Schedule& schedule) {
-  return SendProgram{port_lists(schedule, PortSide::kSend, nullptr),
+  return SendProgram{FromOneEventList{},
+                     port_lists(schedule, PortSide::kSend, nullptr),
                      port_lists(schedule, PortSide::kReceive, nullptr)};
 }
 
@@ -73,7 +81,8 @@ SendProgram SendProgram::from_schedule(const Schedule& schedule,
   const std::size_t n = schedule.processor_count();
   if (keep.rows() != n || keep.cols() != n)
     throw InputError("SendProgram: keep mask size mismatch");
-  return SendProgram{port_lists(schedule, PortSide::kSend, &keep),
+  return SendProgram{FromOneEventList{},
+                     port_lists(schedule, PortSide::kSend, &keep),
                      port_lists(schedule, PortSide::kReceive, &keep)};
 }
 

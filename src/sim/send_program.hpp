@@ -73,6 +73,13 @@ class SendProgram {
   [[nodiscard]] std::size_t event_count() const;
 
  private:
+  struct FromOneEventList {};
+  /// Send and receive orders derived from one event list, so they hold
+  /// the same event multiset by construction: the two-argument
+  /// constructor's n x n consistency check is skipped.
+  SendProgram(FromOneEventList, std::vector<std::vector<std::size_t>> orders,
+              std::vector<std::vector<std::size_t>> recv_orders);
+
   std::vector<std::vector<std::size_t>> orders_;
   std::vector<std::vector<std::size_t>> recv_orders_;  ///< empty = FIFO
 };

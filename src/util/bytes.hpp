@@ -15,6 +15,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -25,6 +26,30 @@ namespace hcs {
 
 inline constexpr bool kHostIsLittleEndian =
     std::endian::native == std::endian::little;
+
+/// Stores `v` little-endian at `at` (one memcpy on LE hosts).
+template <typename T>
+inline void store_le(std::uint8_t* at, T v) noexcept {
+  if constexpr (kHostIsLittleEndian) {
+    std::memcpy(at, &v, sizeof v);
+  } else {
+    for (std::size_t k = 0; k < sizeof v; ++k)
+      at[k] = static_cast<std::uint8_t>(v >> (8 * k));
+  }
+}
+
+/// Loads a little-endian T from `at` (one memcpy on LE hosts).
+template <typename T>
+[[nodiscard]] inline T load_le(const std::uint8_t* at) noexcept {
+  T v{};
+  if constexpr (kHostIsLittleEndian) {
+    std::memcpy(&v, at, sizeof v);
+  } else {
+    for (std::size_t k = 0; k < sizeof v; ++k)
+      v = static_cast<T>(v | (static_cast<T>(at[k]) << (8 * k)));
+  }
+  return v;
+}
 
 /// Sequential writer over a pre-sized region of `out`: the caller
 /// declares the payload size once, then fields land via memcpy instead of
@@ -64,6 +89,14 @@ class ByteWriter {
     }
   }
 
+  /// The next `bytes` bytes as raw storage for a caller's own loop (with
+  /// store_le); they count as written.
+  [[nodiscard]] std::uint8_t* claim(std::size_t bytes) noexcept {
+    std::uint8_t* at = out_.data() + pos_;
+    pos_ += bytes;
+    return at;
+  }
+
   /// All declared bytes must be written — catches size-formula drift.
   void finish() const {
     if (pos_ != out_.size())
@@ -73,13 +106,8 @@ class ByteWriter {
  private:
   template <typename T>
   void put_scalar(T v) {
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(out_.data() + pos_, &v, sizeof v);
-      pos_ += sizeof v;
-    } else {
-      for (std::size_t k = 0; k < sizeof v; ++k)
-        out_[pos_++] = static_cast<std::uint8_t>(v >> (8 * k));
-    }
+    store_le(out_.data() + pos_, v);
+    pos_ += sizeof v;
   }
 
   std::vector<std::uint8_t>& out_;
@@ -124,6 +152,15 @@ class ByteCursor {
     }
   }
 
+  /// The next `bytes` bytes for a caller's own loop (with load_le),
+  /// bounds-checked once.
+  [[nodiscard]] const std::uint8_t* take(std::size_t bytes) {
+    need(bytes);
+    const std::uint8_t* at = bytes_.data() + pos_;
+    pos_ += bytes;
+    return at;
+  }
+
   [[nodiscard]] std::size_t remaining() const noexcept {
     return bytes_.size() - pos_;
   }
@@ -142,16 +179,7 @@ class ByteCursor {
  private:
   template <typename T>
   [[nodiscard]] T scalar() {
-    need(sizeof(T));
-    T v{};
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(&v, bytes_.data() + pos_, sizeof v);
-      pos_ += sizeof v;
-    } else {
-      for (std::size_t k = 0; k < sizeof v; ++k)
-        v = static_cast<T>(v | (static_cast<T>(bytes_[pos_++]) << (8 * k)));
-    }
-    return v;
+    return load_le<T>(take(sizeof(T)));
   }
 
   void need(std::size_t n) const {

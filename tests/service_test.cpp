@@ -8,9 +8,11 @@
 // connections.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -18,11 +20,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/comm_matrix.hpp"
@@ -36,6 +41,7 @@
 #include "service/replay.hpp"
 #include "service/schedule_cache.hpp"
 #include "service/server.hpp"
+#include "service/socket_io.hpp"
 #include "service/wire.hpp"
 #include "trace/metrics_hub.hpp"
 #include "workload/scenario.hpp"
@@ -54,6 +60,15 @@ ScheduleRequest sample_request(std::uint64_t seed, std::size_t p) {
     for (std::size_t j = 0; j < p; ++j)
       request.messages(i, j) = i == j ? 0 : rng() % (1u << 20);
   return request;
+}
+
+/// A schedule together with the encoding ScheduleCache::publish requires.
+std::pair<std::shared_ptr<const Schedule>, ScheduleCache::EncodedPayload>
+entry_for(Schedule schedule) {
+  auto encoded = std::make_shared<const std::vector<std::uint8_t>>(
+      encode_schedule_response(schedule));
+  return {std::make_shared<const Schedule>(std::move(schedule)),
+          std::move(encoded)};
 }
 
 // --- wire codec: round-trip property ------------------------------------
@@ -236,6 +251,225 @@ TEST(FrameReader, RejectsOversizedAndUnknownHeaders) {
   }
 }
 
+Matrix<double> cost_matrix_for(std::uint64_t seed, std::size_t p);
+
+/// A schedule over every ordered pair of p processors with arbitrary times
+/// (Schedule checks only index ranges and finish >= start).
+Schedule synthetic_schedule(std::size_t p, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<ScheduledEvent> events;
+  for (std::size_t i = 0; i < p; ++i)
+    for (std::size_t j = 0; j < p; ++j)
+      if (i != j) {
+        const double start = static_cast<double>(rng() % 10000) / 7.0;
+        const double duration = static_cast<double>(rng() % 50);
+        events.push_back({i, j, start, start + duration});
+      }
+  return Schedule{p, std::move(events)};
+}
+
+TEST(Wire, EncodeFromScheduleMatchesResponseEncoding) {
+  for (const std::size_t p : {2, 64, 256}) {
+    const Schedule schedule = synthetic_schedule(p, p);
+    ScheduleResponse response;
+    response.completion_s = schedule.completion_time();
+    response.processors = schedule.processor_count();
+    response.events = schedule.events();
+    EXPECT_EQ(encode_schedule_response(schedule),
+              encode_schedule_response(response))
+        << "P = " << p;
+  }
+  const Schedule solved = make_scheduler(SchedulerKind::kOpenShop)
+                              ->schedule(CommMatrix{cost_matrix_for(3, 64)});
+  ScheduleResponse response;
+  response.completion_s = solved.completion_time();
+  response.processors = solved.processor_count();
+  response.events = solved.events();
+  EXPECT_EQ(encode_schedule_response(solved),
+            encode_schedule_response(response));
+}
+
+/// Five frames of every shape the daemon sees, and the stream carrying them.
+std::vector<Frame> sample_frames() {
+  std::vector<Frame> frames(5);
+  frames[0] = {FrameType::kScheduleRequest,
+               encode_schedule_request(sample_request(5, 4))};
+  frames[1] = {FrameType::kMetricsRequest, {1}};
+  frames[2] = {FrameType::kShutdown, {}};
+  frames[3] = {FrameType::kScheduleResponse,
+               encode_schedule_response(synthetic_schedule(9, 2))};
+  frames[4] = {FrameType::kError, encode_error({ErrorCode::kBusy, "busy"})};
+  return frames;
+}
+
+std::vector<std::uint8_t> stream_of(const std::vector<Frame>& frames) {
+  std::vector<std::uint8_t> stream;
+  for (const Frame& frame : frames)
+    append_frame(stream, frame.type, frame.payload);
+  return stream;
+}
+
+void expect_same_frames(const std::vector<Frame>& got,
+                        const std::vector<Frame>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].type, want[k].type) << "frame " << k;
+    EXPECT_EQ(got[k].payload, want[k].payload) << "frame " << k;
+  }
+}
+
+TEST(FrameReader, FrameSplitAtEveryByteOffset) {
+  const std::vector<Frame> want = sample_frames();
+  const std::vector<std::uint8_t> stream = stream_of(want);
+  const std::span<const std::uint8_t> bytes(stream);
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    FrameReader reader;
+    std::vector<Frame> got;
+    reader.feed(bytes.first(cut));
+    while (auto frame = reader.next()) got.push_back(std::move(*frame));
+    reader.feed(bytes.subspan(cut));
+    while (auto frame = reader.next()) got.push_back(std::move(*frame));
+    expect_same_frames(got, want);
+    EXPECT_EQ(reader.buffered(), 0u);
+    if (HasFailure()) FAIL() << "split at byte " << cut;
+  }
+}
+
+TEST(FrameReader, SeveralFramesInOneRead) {
+  const std::vector<Frame> want = sample_frames();
+  const std::vector<std::uint8_t> stream = stream_of(want);
+  {
+    FrameReader reader;
+    reader.feed(stream);
+    EXPECT_EQ(reader.buffered(), stream.size());
+    std::vector<Frame> got;
+    while (auto frame = reader.next()) got.push_back(std::move(*frame));
+    expect_same_frames(got, want);
+  }
+  // The socket path: reads of any size land in recv_buffer(), which never
+  // reaches past the frame being assembled.
+  std::mt19937_64 rng(11);
+  FrameReader reader;
+  std::vector<Frame> got;
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::span<std::uint8_t> into = reader.recv_buffer();
+    ASSERT_FALSE(into.empty());
+    const std::size_t n =
+        std::min({into.size(), stream.size() - at, 1 + rng() % 97});
+    std::memcpy(into.data(), stream.data() + at, n);
+    reader.commit(n);
+    at += n;
+    while (auto frame = reader.next()) got.push_back(std::move(*frame));
+  }
+  expect_same_frames(got, want);
+  // A recycled buffer is received into again and leaves payloads intact.
+  reader.recycle(std::move(got[3].payload));
+  reader.feed(stream);
+  got.clear();
+  while (auto frame = reader.next()) got.push_back(std::move(*frame));
+  expect_same_frames(got, want);
+}
+
+TEST(FrameReader, MalformedHeadersKeepTheirErrors) {
+  const auto error_of = [](const std::vector<std::uint8_t>& header) {
+    FrameReader reader;
+    std::vector<std::uint8_t> stream;
+    append_frame(stream, FrameType::kShutdown, {});
+    stream.insert(stream.end(), header.begin(), header.end());
+    stream.push_back(0);  // bytes after a bad header are never framed
+    reader.feed(stream);
+    // Frames before the bad header are delivered first.
+    const std::optional<Frame> first = reader.next();
+    EXPECT_TRUE(first && first->type == FrameType::kShutdown);
+    std::string message;
+    try {
+      (void)reader.next();
+    } catch (const WireError& error) {
+      message = error.what();
+    }
+    EXPECT_THROW((void)reader.next(), WireError) << "the stream stays dead";
+    EXPECT_THROW((void)reader.recv_buffer(), WireError);
+    return message;
+  };
+  std::vector<std::uint8_t> oversized(4);
+  std::uint32_t length = kMaxPayloadBytes + 1;
+  std::memcpy(oversized.data(), &length, 4);
+  oversized.push_back(1);
+  EXPECT_EQ(error_of(oversized),
+            "FrameReader: frame length " + std::to_string(length) +
+                " exceeds limit");
+  EXPECT_EQ(error_of({0, 0, 0, 0, 99}), "FrameReader: unknown frame type 99");
+  EXPECT_EQ(error_of({0, 0, 0, 0, 0}), "FrameReader: unknown frame type 0");
+}
+
+TEST(FrameReader, AHeaderAloneCommitsOneStepOfMemory) {
+  // A peer that announces the largest payload and sends nothing more gets
+  // a buffer sized a step at a time, not kMaxPayloadBytes at once.
+  FrameReader reader;
+  std::vector<std::uint8_t> header(4);
+  std::memcpy(header.data(), &kMaxPayloadBytes, 4);
+  header.push_back(static_cast<std::uint8_t>(FrameType::kScheduleRequest));
+  reader.feed(header);
+  const std::span<std::uint8_t> into = reader.recv_buffer();
+  EXPECT_GT(into.size(), 0u);
+  EXPECT_LE(into.size(), std::size_t{1} << 20);
+  EXPECT_FALSE(reader.next().has_value());
+}
+
+TEST(SocketIo, VectoredSendsThroughATinySendBufferDeliverTheFrameBytes) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int tiny = 1024;  // the kernel rounds up to its minimum
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof tiny),
+            0);
+  // With a send timeout, a sendmsg blocked past it returns the bytes it
+  // managed so far: the reader's stalls below force such short writes
+  // mid-iovec, which send_all must resume from.
+  const timeval timeout{0, 100000};
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+
+  std::mt19937_64 rng(5);
+  std::vector<std::uint8_t> payload(300000);
+  for (std::uint8_t& byte : payload) byte = static_cast<std::uint8_t>(rng());
+  // The bytes the old code sent: header and payload concatenated, then the
+  // same body with its flags byte (offset 1) patched.
+  std::vector<std::uint8_t> want;
+  append_frame(want, FrameType::kSweepResult, payload);
+  const std::size_t second = want.size();
+  append_frame(want, FrameType::kScheduleResponse, payload);
+  want[second + kFrameHeaderBytes + 1] = 3;
+
+  std::vector<std::uint8_t> got;
+  std::thread reader([&] {
+    std::array<std::uint8_t, 700> chunk;  // small reads: many short sends
+    for (;;) {
+      const ssize_t n = ::recv(fds[1], chunk.data(), chunk.size(), 0);
+      if (n <= 0) break;
+      const auto crossed = [&](std::size_t mark) {
+        return got.size() < mark && got.size() + n >= mark;
+      };
+      // Once in each frame, outlast one send timeout but not two.
+      const bool stall = crossed(2048) || crossed(second + 2048);
+      got.insert(got.end(), chunk.begin(), chunk.begin() + n);
+      if (stall) std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    }
+  });
+  EXPECT_TRUE(send_frame(fds[0], FrameType::kSweepResult, payload));
+  auto header = frame_header(FrameType::kScheduleResponse, payload.size());
+  std::uint8_t flags = 3;
+  iovec parts[4] = {{header.data(), header.size()},
+                    {payload.data(), 1},
+                    {&flags, 1},
+                    {payload.data() + 2, payload.size() - 2}};
+  EXPECT_TRUE(send_all(fds[0], parts));
+  ::close(fds[0]);
+  reader.join();
+  ::close(fds[1]);
+  EXPECT_EQ(got, want);
+}
+
 // --- schedule cache -----------------------------------------------------
 
 Matrix<double> cost_matrix_for(std::uint64_t seed, std::size_t p) {
@@ -295,8 +529,10 @@ TEST(ScheduleCacheTest, HitReturnsBitIdenticalSchedule) {
 
   ScheduleCache::Lookup first = cache.acquire(key);
   ASSERT_TRUE(first.leader);
-  cache.publish(key, first.flight,
-                std::make_shared<const Schedule>(scheduler->schedule(comm)));
+  {
+    auto [schedule, encoded] = entry_for(scheduler->schedule(comm));
+    cache.publish(key, first.flight, schedule, encoded);
+  }
 
   ScheduleCache::Lookup second = cache.acquire(key);
   ASSERT_TRUE(second.hit);
@@ -330,10 +566,9 @@ TEST(ScheduleCacheTest, SingleFlightCoalescesConcurrentMisses) {
     });
 
   const CommMatrix comm{cost};
-  cache.publish(
-      key, leader.flight,
-      std::make_shared<const Schedule>(
-          make_scheduler(SchedulerKind::kGreedy)->schedule(comm)));
+  auto [schedule, encoded] =
+      entry_for(make_scheduler(SchedulerKind::kGreedy)->schedule(comm));
+  cache.publish(key, leader.flight, schedule, encoded);
   for (std::thread& thread : followers) thread.join();
 
   // Followers either coalesced onto the in-flight solve or (if they
@@ -367,6 +602,28 @@ TEST(ScheduleCacheTest, AbortWakesFollowersWithError) {
   cache.abort(key, retry.flight, "");
 }
 
+TEST(ScheduleCacheTest, PublishRefusesAnEntryWithoutItsEncoding) {
+  ScheduleCache cache({.shards = 1, .capacity = 4});
+  const Matrix<double> cost = cost_matrix_for(17, 6);
+  const ScheduleKey key =
+      make_schedule_key(SchedulerKind::kGreedy, false, cost, 0.25);
+  ScheduleCache::Lookup leader = cache.acquire(key);
+  ASSERT_TRUE(leader.leader);
+  auto [schedule, encoded] = entry_for(
+      make_scheduler(SchedulerKind::kGreedy)->schedule(CommMatrix{cost}));
+  EXPECT_THROW(cache.publish(key, leader.flight, schedule, nullptr),
+               InputError);
+  EXPECT_THROW(cache.publish(key, leader.flight, nullptr, encoded),
+               InputError);
+  EXPECT_EQ(cache.stats().entries, 0u) << "a refused publish stores nothing";
+  // The flight is still the leader's to settle.
+  cache.publish(key, leader.flight, schedule, encoded);
+  const ScheduleCache::Lookup hit = cache.acquire(key);
+  ASSERT_TRUE(hit.hit);
+  ASSERT_NE(hit.encoded, nullptr);
+  EXPECT_EQ(*hit.encoded, *encoded);
+}
+
 TEST(ScheduleCacheTest, LruEvictsAndInvalidateClears) {
   ScheduleCache cache({.shards = 1, .capacity = 2});
   const CommMatrix comm{cost_matrix_for(16, 4)};
@@ -374,10 +631,11 @@ TEST(ScheduleCacheTest, LruEvictsAndInvalidateClears) {
     const ScheduleKey key = make_schedule_key(
         SchedulerKind::kGreedy, false, cost_matrix_for(seed, 4), 0.25);
     ScheduleCache::Lookup lookup = cache.acquire(key);
-    if (lookup.leader)
-      cache.publish(key, lookup.flight,
-                    std::make_shared<const Schedule>(
-                        make_scheduler(SchedulerKind::kGreedy)->schedule(comm)));
+    if (lookup.leader) {
+      auto [schedule, encoded] =
+          entry_for(make_scheduler(SchedulerKind::kGreedy)->schedule(comm));
+      cache.publish(key, lookup.flight, schedule, encoded);
+    }
   };
   for (std::uint64_t seed = 50; seed < 55; ++seed) publish_one(seed);
   ScheduleCache::Stats stats = cache.stats();
