@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -275,6 +276,16 @@ Schedule HierarchicalScheduler::schedule_degraded(
         order.emplace_back(src, dst);
 
   return splice(comm, n, order);
+}
+
+std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
+                                          std::uint64_t seed,
+                                          const Clustering* clustering) {
+  if (clustering == nullptr) return make_scheduler(kind, seed);
+  HierarchicalScheduler::Options options;
+  options.inner = kind;
+  options.seed = seed;
+  return std::make_unique<HierarchicalScheduler>(*clustering, options);
 }
 
 }  // namespace hcs

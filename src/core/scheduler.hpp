@@ -109,6 +109,15 @@ enum class SchedulerKind {
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
                                                         std::uint64_t seed = 0);
 
+struct Clustering;
+
+/// The hierarchical-or-flat factory: `kind` running inside a
+/// HierarchicalScheduler over `clustering` when it is non-null (the
+/// scheduler copies it, so one detection can serve several schedulers),
+/// the flat make_scheduler(kind, seed) otherwise.
+[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
+    SchedulerKind kind, std::uint64_t seed, const Clustering* clustering);
+
 /// Stable identifier of a scheduler kind (matches Scheduler::name()).
 [[nodiscard]] std::string_view scheduler_name(SchedulerKind kind);
 

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "core/hierarchical_scheduler.hpp"
 #include "netmodel/directory.hpp"
 #include "sim/send_program.hpp"
 #include "util/error.hpp"
@@ -52,15 +51,8 @@ void SweepUnitRunner::run(std::size_t unit, std::span<double> out) {
     clustering = detect_clusters(instance.network, config.cluster_options);
 
   for (std::size_t s = 0; s < sched_count; ++s) {
-    std::unique_ptr<Scheduler> scheduler;
-    if (config.hierarchical) {
-      HierarchicalScheduler::Options options;
-      options.inner = config.schedulers[s];
-      options.seed = seed;
-      scheduler = std::make_unique<HierarchicalScheduler>(clustering, options);
-    } else {
-      scheduler = make_scheduler(config.schedulers[s], seed);
-    }
+    const std::unique_ptr<Scheduler> scheduler = make_scheduler(
+        config.schedulers[s], seed, config.hierarchical ? &clustering : nullptr);
     const Schedule schedule = scheduler->schedule(comm);
     if (config.validate) schedule.validate(comm);
     const double completion = schedule.completion_time();

@@ -1,9 +1,11 @@
 #include "fault/fault_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hcs {
 namespace {
@@ -215,6 +217,49 @@ bool FaultPlan::has_recoverable_faults() const {
   for (const LinkCut& cut : cuts)
     if (std::isfinite(cut.end_s) && cut.end_s < 1e11) return true;
   return false;
+}
+
+FaultPlan make_fault_plan(const FaultCounts& counts, std::size_t n,
+                          std::uint64_t seed, double horizon_s) {
+  FaultPlan plan;
+  plan.transient_loss_prob = counts.loss;
+  plan.seed = seed;
+
+  Rng cut_rng{seed ^ 0xFA17FA17ULL};
+  while (plan.cuts.size() < counts.cuts) {
+    const auto a = static_cast<std::size_t>(cut_rng.next_below(n));
+    const auto b = static_cast<std::size_t>(cut_rng.next_below(n));
+    if (a == b) continue;
+    plan.cuts.push_back({a, b, 0.0, 1e12});  // outlasts any run
+  }
+
+  for (std::size_t k = 0; k < counts.crashes; ++k)
+    plan.crashes.push_back(
+        {n - 1 - k, 0.25 * horizon_s * static_cast<double>(k + 1)});
+
+  // Waiting out a restart window (the replan path's backoff) recovers
+  // the traffic.
+  for (std::size_t k = 0; k < counts.restarts; ++k) {
+    const double at = (0.05 + 0.1 * static_cast<double>(k)) * horizon_s;
+    plan.restarts.push_back({k, at, at + 0.35 * horizon_s});
+  }
+
+  Rng rng{seed ^ 0xD15EA5EDULL};
+  while (plan.flapping.size() < counts.flaps) {
+    const auto a = static_cast<std::size_t>(rng.next_below(n));
+    const auto b = static_cast<std::size_t>(rng.next_below(n));
+    if (a == b) continue;
+    plan.flapping.push_back(
+        {a, b, 0.0, horizon_s, std::max(horizon_s / 8.0, 1e-9), 0.3, true});
+  }
+  while (plan.brownouts.size() < counts.brownouts) {
+    const auto a = static_cast<std::size_t>(rng.next_below(n));
+    const auto b = static_cast<std::size_t>(rng.next_below(n));
+    if (a == b) continue;
+    plan.brownouts.push_back(
+        {a, b, 0.0, 0.6 * horizon_s, counts.brownout_factor, true});
+  }
+  return plan;
 }
 
 }  // namespace hcs

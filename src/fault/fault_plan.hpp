@@ -141,4 +141,26 @@ struct FaultPlan {
   [[nodiscard]] bool has_recoverable_faults() const;
 };
 
+/// How many faults of each kind a synthesized plan holds.
+struct FaultCounts {
+  std::size_t crashes = 0;
+  std::size_t cuts = 0;
+  double loss = 0.0;
+  std::size_t restarts = 0;
+  std::size_t flaps = 0;
+  std::size_t brownouts = 0;
+  double brownout_factor = 0.25;
+};
+
+/// The seeded fault plan that `hcs fault-sweep` rows, `hcs trace` and the
+/// `.scn` [faults] section all run, on processors 0..n-1 and scaled to
+/// the run's expected makespan `horizon_s`: permanent cuts on seeded
+/// pairs, crash-stops on the highest-numbered nodes at
+/// 0.25 * horizon * (k+1), crash-restart windows on the lowest-numbered
+/// nodes, and seeded flapping and brownout pairs. Deterministic in
+/// (counts, n, seed, horizon_s).
+[[nodiscard]] FaultPlan make_fault_plan(const FaultCounts& counts,
+                                        std::size_t n, std::uint64_t seed,
+                                        double horizon_s);
+
 }  // namespace hcs

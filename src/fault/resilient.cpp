@@ -45,6 +45,15 @@ void ResilientOptions::ReplanOptions::validate() const {
     throw InputError("ReplanOptions: backoff_factor must be finite and >= 1");
 }
 
+ResilientOptions::ReplanOptions default_replan_policy(double horizon_s) {
+  ResilientOptions::ReplanOptions replan;
+  replan.enabled = true;
+  replan.max_replans = 4;
+  replan.backoff_base_s = 0.1 * horizon_s;
+  replan.backoff_factor = 2.0;
+  return replan;
+}
+
 std::string_view delivery_status_name(DeliveryStatus status) {
   switch (status) {
     case DeliveryStatus::kDirect: return "direct";

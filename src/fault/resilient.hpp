@@ -100,6 +100,13 @@ struct ResilientOptions {
   void validate() const;
 };
 
+/// The budgeted replan policy `replan` switches on (CLI --replan, `.scn`
+/// replan = true): four rounds whose backoff, 0.1 * horizon doubling per
+/// round, concedes enough wall-clock for mid-horizon recovery windows to
+/// pass.
+[[nodiscard]] ResilientOptions::ReplanOptions default_replan_policy(
+    double horizon_s);
+
 /// How one (src, dst) message ended up.
 enum class DeliveryStatus {
   kDirect,         ///< delivered over the planned direct link

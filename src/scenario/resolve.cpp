@@ -1,54 +1,29 @@
 #include "scenario/resolve.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
-#include "core/hierarchical_scheduler.hpp"
 #include "netmodel/cluster_detect.hpp"
-#include "netmodel/generator.hpp"
 #include "netmodel/gusto.hpp"
-#include "netmodel/link_params.hpp"
 #include "qos/qos_scheduler.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
-#include "workload/scenario.hpp"
 
 namespace hcs::scenario {
 namespace {
 
-NetworkModel make_network(const ScenarioSpec& spec,
-                          std::uint64_t network_seed) {
-  switch (spec.family) {
-    case TopologyFamily::kGusto:
-      return gusto::network();
-    case TopologyFamily::kClustered: {
-      ClusteredNetworkOptions options;
-      options.cluster_count = spec.sites;
-      return generate_clustered_network(spec.processors, network_seed,
-                                        options);
-    }
-    case TopologyFamily::kFlat:
-      break;
-  }
-  return generate_network(spec.processors, network_seed);
-}
+/// The paper's four figure workloads, under their .scn and figure names.
+constexpr std::pair<WorkloadKind, Scenario> kPaperWorkloads[] = {
+    {WorkloadKind::kSmall, Scenario::kSmallMessages},
+    {WorkloadKind::kLarge, Scenario::kLargeMessages},
+    {WorkloadKind::kMixed, Scenario::kMixedMessages},
+    {WorkloadKind::kServers, Scenario::kServers},
+};
 
-MessageMatrix make_messages(const ScenarioSpec& spec,
-                            std::uint64_t workload_seed) {
-  const std::size_t n = spec.processors;
-  switch (spec.workload) {
-    case WorkloadKind::kSmall: return uniform_messages(n, kKiB);
-    case WorkloadKind::kLarge: return uniform_messages(n, kMiB);
-    case WorkloadKind::kMixed:
-      return mixed_messages(n, workload_seed, {kKiB, kMiB});
-    case WorkloadKind::kServers:
-      return server_client_messages(n, workload_seed);
-    case WorkloadKind::kUniform:
-      return uniform_messages(n, spec.uniform_bytes);
-    case WorkloadKind::kTranspose:
-      return transpose_messages(n, spec.transpose_rows, spec.transpose_cols,
-                                spec.element_bytes);
-  }
-  return uniform_messages(n, kKiB);
+std::optional<Scenario> paper_scenario(WorkloadKind kind) {
+  for (const auto& [workload, scenario] : kPaperWorkloads)
+    if (workload == kind) return scenario;
+  return std::nullopt;
 }
 
 QosSpec make_qos(const ScenarioSpec& spec, double lower_bound_s) {
@@ -82,97 +57,49 @@ std::unique_ptr<Scheduler> make_spec_scheduler(const ScenarioSpec& spec,
   if (spec.qos_scheduler) {
     return std::make_unique<QosScheduler>(qos, spec.ordering);
   }
-  if (spec.hierarchical) {
-    HierarchicalScheduler::Options options;
-    options.inner = spec.algorithm;
-    options.seed = spec.seed;
-    return std::make_unique<HierarchicalScheduler>(detect_clusters(network),
-                                                   options);
-  }
-  return make_scheduler(spec.algorithm, spec.seed);
+  std::optional<Clustering> clustering;
+  if (spec.hierarchical) clustering = detect_clusters(network);
+  return make_scheduler(spec.algorithm, spec.seed,
+                        clustering ? &*clustering : nullptr);
 }
 
 }  // namespace
 
-ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
-  // make_instance's sub-seed convention: one seeder, network draw first,
-  // workload draw second, so paper workloads on flat/clustered fabrics
-  // reproduce the figure sweeps' instances bit-for-bit.
-  Rng seeder{spec.seed};
-  const std::uint64_t network_seed = seeder.next_u64();
-  const std::uint64_t workload_seed = seeder.next_u64();
+WorkloadKind workload_kind(Scenario scenario) {
+  for (const auto& [workload, paper] : kPaperWorkloads)
+    if (paper == scenario) return workload;
+  throw InputError("workload_kind: unknown scenario");
+}
 
-  NetworkModel network = make_network(spec, network_seed);
-  MessageMatrix messages = make_messages(spec, workload_seed);
-  CommMatrix comm{network, messages};
+ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
+  // make_instance draws the flat or clustered network and, for the
+  // paper's workloads, the messages: exactly the instance the figure
+  // sweeps generate for the same (P, seed). The GUSTO fabric replaces the
+  // drawn network, and uniform/transpose messages the drawn ones.
+  const std::optional<Scenario> paper = paper_scenario(spec.workload);
+  ProblemInstance instance = make_instance(
+      paper.value_or(Scenario::kSmallMessages), spec.processors, spec.seed,
+      spec.family == TopologyFamily::kClustered ? spec.sites : 0);
+  if (spec.family == TopologyFamily::kGusto) instance.network = gusto::network();
+  if (spec.workload == WorkloadKind::kUniform)
+    instance.messages = uniform_messages(spec.processors, spec.uniform_bytes);
+  if (spec.workload == WorkloadKind::kTranspose)
+    instance.messages =
+        transpose_messages(spec.processors, spec.transpose_rows,
+                           spec.transpose_cols, spec.element_bytes);
+
+  CommMatrix comm{instance.network, instance.messages};
   const double lower_bound_s = comm.lower_bound();
   QosSpec qos = make_qos(spec, lower_bound_s);
   std::unique_ptr<Scheduler> scheduler =
-      make_spec_scheduler(spec, network, qos);
+      make_spec_scheduler(spec, instance.network, qos);
   return ResolvedScenario{spec,
-                          std::move(network),
-                          std::move(messages),
+                          std::move(instance.network),
+                          std::move(instance.messages),
                           std::move(comm),
                           lower_bound_s,
                           std::move(qos),
                           std::move(scheduler)};
-}
-
-FaultPlan make_fault_plan(const ScenarioSpec& spec, double horizon_s) {
-  FaultPlan plan;
-  if (!spec.has_faults) return plan;
-  const std::size_t n = spec.processors;
-  plan.transient_loss_prob = spec.loss;
-  plan.seed = spec.seed;
-
-  Rng cut_rng{spec.seed ^ 0xFA17FA17ULL};
-  while (plan.cuts.size() < spec.cuts) {
-    const auto a = static_cast<std::size_t>(cut_rng.next_below(n));
-    const auto b = static_cast<std::size_t>(cut_rng.next_below(n));
-    if (a == b) continue;
-    plan.cuts.push_back({a, b, 0.0, 1e12});  // outlasts any run
-  }
-
-  // Crash the highest-numbered nodes at staggered mid-exchange times.
-  for (std::size_t k = 0; k < spec.crashes; ++k)
-    plan.crashes.push_back(
-        {n - 1 - k, 0.25 * horizon_s * static_cast<double>(k + 1)});
-
-  // Crash-restart windows on the lowest-numbered nodes; waiting them out
-  // (the replan path's backoff) recovers the traffic.
-  for (std::size_t k = 0; k < spec.restarts; ++k) {
-    const double at = (0.05 + 0.1 * static_cast<double>(k)) * horizon_s;
-    plan.restarts.push_back({k, at, at + 0.35 * horizon_s});
-  }
-
-  Rng rng{spec.seed ^ 0xD15EA5EDULL};
-  while (plan.flapping.size() < spec.flaps) {
-    const auto a = static_cast<std::size_t>(rng.next_below(n));
-    const auto b = static_cast<std::size_t>(rng.next_below(n));
-    if (a == b) continue;
-    plan.flapping.push_back(
-        {a, b, 0.0, horizon_s, std::max(horizon_s / 8.0, 1e-9), 0.3, true});
-  }
-  while (plan.brownouts.size() < spec.brownouts) {
-    const auto a = static_cast<std::size_t>(rng.next_below(n));
-    const auto b = static_cast<std::size_t>(rng.next_below(n));
-    if (a == b) continue;
-    plan.brownouts.push_back(
-        {a, b, 0.0, 0.6 * horizon_s, spec.brownout_factor, true});
-  }
-  return plan;
-}
-
-ResilientOptions make_resilient_options(const ScenarioSpec& spec,
-                                        double horizon_s) {
-  ResilientOptions options;
-  if (spec.replan) {
-    options.replan.enabled = true;
-    options.replan.max_replans = 4;
-    options.replan.backoff_base_s = 0.1 * horizon_s;
-    options.replan.backoff_factor = 2.0;
-  }
-  return options;
 }
 
 }  // namespace hcs::scenario

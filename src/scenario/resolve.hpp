@@ -8,21 +8,24 @@
 // lets the fleet runner (scenario/runner.hpp) diff artifacts against
 // checked-in goldens.
 //
-// Seeding follows make_instance's convention (one Rng{seed} drawing a
-// network sub-seed then a workload sub-seed), so a .scn file with a paper
-// workload on a flat or clustered fabric generates exactly the instance
-// the figure sweeps generate for the same (P, seed).
+// Instances come from make_instance (workload/scenario.hpp), so a .scn
+// file with a paper workload on a flat or clustered fabric generates
+// exactly the instance the figure sweeps, `hcs trace` and `hcs simulate`
+// generate for the same (P, seed). The [faults] section is synthesized
+// at run time by make_fault_plan (fault/fault_plan.hpp), the same
+// function fault-sweep rows call, because the plan scales with the
+// planned makespan.
 #pragma once
 
 #include <memory>
 
 #include "core/comm_matrix.hpp"
 #include "core/scheduler.hpp"
-#include "fault/resilient.hpp"
 #include "netmodel/network_model.hpp"
 #include "qos/qos_types.hpp"
 #include "scenario/spec.hpp"
 #include "workload/generators.hpp"
+#include "workload/scenario.hpp"
 
 namespace hcs::scenario {
 
@@ -40,23 +43,12 @@ struct ResolvedScenario {
   std::unique_ptr<Scheduler> scheduler;
 };
 
-/// Resolves `spec`. Deterministic; throws InputError only on internal
-/// inconsistencies (parse_scenario already validated the spec).
+/// Resolves `spec`, which must be free of value defects (parse_scenario
+/// guarantees it; a spec built in code is checked with
+/// find_value_defect). Deterministic.
 [[nodiscard]] ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
-/// Synthesizes the spec's [faults] section into a FaultPlan, scaled to
-/// the run's planned makespan, following the CLI fault-sweep conventions:
-/// crash-stops staggered on the highest-numbered nodes at
-/// 0.25 * horizon * (k+1), crash-restart windows on the lowest-numbered
-/// nodes, permanent seeded cut pairs, and seeded flapping/brownout pairs.
-/// Empty when the spec has no [faults] section.
-[[nodiscard]] FaultPlan make_fault_plan(const ScenarioSpec& spec,
-                                        double horizon_s);
-
-/// Resilient-executor options for the spec: the default policy, plus the
-/// CLI's budgeted replan policy when the spec asks for replan (backoff
-/// concedes enough wall-clock for mid-horizon recovery windows to pass).
-[[nodiscard]] ResilientOptions make_resilient_options(const ScenarioSpec& spec,
-                                                      double horizon_s);
+/// The .scn workload kind of one of the paper's four figure scenarios.
+[[nodiscard]] WorkloadKind workload_kind(Scenario scenario);
 
 }  // namespace hcs::scenario

@@ -7,66 +7,52 @@
 #include <sstream>
 #include <utility>
 
-#include "fault/resilient.hpp"
 #include "netmodel/directory.hpp"
-#include "scenario/resolve.hpp"
 #include "sim/send_program.hpp"
-#include "sim/simulator.hpp"
-#include "trace/auditor.hpp"
-#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hcs::scenario {
-namespace {
 
-/// Deadline compliance of what actually executed (as opposed to
-/// evaluate_qos on the planned schedule): delivered messages are late
-/// when they finish past their deadline; undelivered messages with a
-/// finite deadline count as missed outright.
-struct ExecutedQos {
-  std::size_t missed = 0;
-  double max_tardiness_s = 0.0;
-  double weighted_tardiness_s = 0.0;
+void ExecutedQos::add(std::size_t src, std::size_t dst, double finish_s,
+                      bool delivered, const QosSpec& qos) {
+  const double deadline = qos.deadline_s(src, dst);
+  if (delivered && finish_s <= deadline) return;
+  if (!delivered && deadline == std::numeric_limits<double>::infinity())
+    return;
+  const double tardiness = std::max(0.0, finish_s - deadline);
+  ++missed;
+  max_tardiness_s = std::max(max_tardiness_s, tardiness);
+  weighted_tardiness_s += qos.priority(src, dst) * tardiness;
+}
 
-  void add(std::size_t src, std::size_t dst, double finish_s, bool delivered,
-           const QosSpec& qos) {
-    const double deadline = qos.deadline_s(src, dst);
-    if (delivered && finish_s <= deadline) return;
-    if (!delivered && deadline == std::numeric_limits<double>::infinity())
-      return;
-    const double tardiness = std::max(0.0, finish_s - deadline);
-    ++missed;
-    max_tardiness_s = std::max(max_tardiness_s, tardiness);
-    weighted_tardiness_s += qos.priority(src, dst) * tardiness;
-  }
-};
+std::size_t run_trace_capacity(std::size_t processors) {
+  return std::max<std::size_t>(std::size_t{1} << 16,
+                               4 * processors * processors);
+}
 
-/// Everything the artifact renders, gathered from whichever executor ran.
-struct Execution {
-  double executed_s = 0.0;
-  std::size_t events_executed = 0;
-  std::size_t direct = 0;
-  std::size_t relayed = 0;
-  std::size_t rescued = 0;
-  std::size_t undeliverable = 0;
-  std::size_t replans = 0;
-  std::size_t reschedules = 0;
-  std::size_t failed_attempts = 0;
-  ExecutedQos qos;
-};
-
-Execution execute(const ResolvedScenario& resolved, const Schedule& planned,
-                  EventTrace& trace) {
+Execution execute_scenario(const ResolvedScenario& resolved,
+                           const SimOptions& options, EventTrace& trace) {
   const ScenarioSpec& spec = resolved.spec;
-  Execution exec;
+  Execution exec{resolved.scheduler->schedule(resolved.comm)};
+  exec.planned.validate(resolved.comm);
+  const double horizon_s = exec.planned.completion_time();
+
   if (spec.has_faults) {
+    if (options.model != ReceiveModel::kSerialized)
+      throw InputError("fault plans require the serialized receive model");
     const StaticDirectory directory{resolved.network};
-    const FaultPlan plan = make_fault_plan(spec, planned.completion_time());
-    const ResilientResult result = run_resilient_traced(
-        *resolved.scheduler, directory, resolved.messages, plan,
-        make_resilient_options(spec, planned.completion_time()), trace);
+    const FaultCounts counts{spec.crashes,  spec.cuts,  spec.loss,
+                             spec.restarts, spec.flaps, spec.brownouts,
+                             spec.brownout_factor};
+    ResilientOptions resilient_options;
+    if (spec.replan)
+      resilient_options.replan = default_replan_policy(horizon_s);
+    ResilientResult result = run_resilient_traced(
+        *resolved.scheduler, directory, resolved.messages,
+        make_fault_plan(counts, spec.processors, spec.seed, horizon_s),
+        resilient_options, trace);
     exec.executed_s = result.completion_time;
     exec.events_executed = result.events.size();
     exec.relayed = result.relayed_count;
@@ -82,13 +68,14 @@ Execution execute(const ResolvedScenario& resolved, const Schedule& planned,
         exec.qos.add(outcome.src, outcome.dst, outcome.finish_s,
                      outcome.status != DeliveryStatus::kUndeliverable,
                      resolved.qos);
+    exec.resilient = std::move(result);
     return exec;
   }
 
   const auto run = [&](const DirectoryService& directory) {
     const NetworkSimulator simulator{directory, resolved.messages};
-    return simulator.run_traced(SendProgram::from_schedule(planned), {},
-                                trace);
+    return simulator.run_traced(SendProgram::from_schedule(exec.planned),
+                                options, trace);
   };
   SimResult result;
   if (spec.drift_sigma > 0.0) {
@@ -103,6 +90,7 @@ Execution execute(const ResolvedScenario& resolved, const Schedule& planned,
     result = run(directory);
   }
   exec.executed_s = result.completion_time;
+  exec.sender_wait_s = result.total_sender_wait_s;
   exec.events_executed = result.events.size();
   exec.direct = result.events.size();
   exec.undeliverable = result.undelivered.size();
@@ -114,11 +102,23 @@ Execution execute(const ResolvedScenario& resolved, const Schedule& planned,
   return exec;
 }
 
+AuditReport audit_execution(const Execution& exec, const SimOptions& options,
+                            const EventTrace& trace) {
+  AuditOptions audit_options;
+  audit_options.serialized_receives =
+      options.model == ReceiveModel::kSerialized;
+  const ScheduleAuditor auditor{audit_options};
+  return exec.resilient ? auditor.audit(trace)
+                        : auditor.audit(trace, exec.executed_s);
+}
+
+namespace {
+
 std::string render_artifact(const ResolvedScenario& resolved,
-                            const Schedule& planned, const Execution& exec,
-                            const AuditReport& audit,
+                            const Execution& exec, const AuditReport& audit,
                             const EventTrace& trace) {
   const ScenarioSpec& spec = resolved.spec;
+  const Schedule& planned = exec.planned;
   const double lb = resolved.lower_bound_s;
   const double ratio =
       lb > 0.0 ? planned.completion_time() / lb : 1.0;
@@ -214,28 +214,17 @@ std::string golden_file_name(const ScenarioSpec& spec) {
 ScenarioRun run_scenario(const ScenarioSpec& spec) {
   ScenarioRun run;
   const ResolvedScenario resolved = resolve_scenario(spec);
-  const Schedule planned = resolved.scheduler->schedule(resolved.comm);
-  planned.validate(resolved.comm);
+  const SimOptions options;  // serialized receives
+  EventTrace trace{run_trace_capacity(spec.processors)};
+  const Execution exec = execute_scenario(resolved, options, trace);
+  const AuditReport audit = audit_execution(exec, options, trace);
 
-  // ~4 trace events per ordered pair (and more under retries/relays);
-  // size the ring so the audit sees the full history, not a window.
-  const std::size_t n = spec.processors;
-  EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
-  const Execution exec = execute(resolved, planned, trace);
-
-  AuditOptions audit_options;  // serialized receives: every executor here
-  const ScheduleAuditor auditor{audit_options};
-  // A faulty run's completion time includes give-up instants, which are
-  // not port engagements; skip the completion cross-check there.
-  const AuditReport audit = spec.has_faults
-                                ? auditor.audit(trace)
-                                : auditor.audit(trace, exec.executed_s);
-
-  run.artifact = render_artifact(resolved, planned, exec, audit, trace);
-  check_expectations(spec, exec, audit, trace, planned.completion_time(),
+  const double planned_s = exec.planned.completion_time();
+  run.artifact = render_artifact(resolved, exec, audit, trace);
+  check_expectations(spec, exec, audit, trace, planned_s,
                      resolved.lower_bound_s, run.failures);
   run.lower_bound_s = resolved.lower_bound_s;
-  run.planned_s = planned.completion_time();
+  run.planned_s = planned_s;
   run.executed_s = exec.executed_s;
   run.undeliverable = exec.undeliverable;
   run.executed_missed_deadlines = exec.qos.missed;

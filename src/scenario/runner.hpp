@@ -1,12 +1,16 @@
 // Scenario execution and the golden-artifact fleet runner.
 //
-// run_scenario executes one resolved scenario end to end —
-// detect/schedule, validate, simulate (static, drifting, or
-// fault-injected resilient execution), audit the recorded trace against
-// the model invariants, evaluate QoS compliance — and renders one
-// deterministic JSON artifact. The artifact is a pure function of the
-// spec: fixed key order, format_double-rendered numbers, no timestamps,
-// no environment — so a checked-in golden copy is a regression test.
+// execute_scenario is the one single-run pipeline: schedule with the
+// resolved scheduler, validate the plan, and execute it (static,
+// drifting, or fault-injected resilient execution) into a trace;
+// audit_execution then checks that trace against the model invariants.
+// run_scenario, `hcs trace` and `hcs simulate` all run through it.
+//
+// run_scenario executes one resolved scenario end to end — the pipeline
+// above plus QoS compliance — and renders one deterministic JSON
+// artifact. The artifact is a pure function of the spec: fixed key
+// order, format_double-rendered numbers, no timestamps, no environment —
+// so a checked-in golden copy is a regression test.
 //
 // run_scenario_directory is the fleet driver behind `hcs run-scenarios`:
 // every *.scn file in a directory runs on the deterministic strided
@@ -17,13 +21,76 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "fault/resilient.hpp"
+#include "scenario/resolve.hpp"
 #include "scenario/spec.hpp"
+#include "sim/simulator.hpp"
+#include "trace/auditor.hpp"
+#include "trace/trace.hpp"
 
 namespace hcs::scenario {
+
+/// Deadline compliance of what actually executed (as opposed to
+/// evaluate_qos on the planned schedule): delivered messages are late
+/// when they finish past their deadline; undelivered messages with a
+/// finite deadline count as missed outright.
+struct ExecutedQos {
+  std::size_t missed = 0;
+  double max_tardiness_s = 0.0;
+  double weighted_tardiness_s = 0.0;
+
+  void add(std::size_t src, std::size_t dst, double finish_s, bool delivered,
+           const QosSpec& qos);
+};
+
+/// One run of the pipeline: the planned schedule and what executing it
+/// produced, whichever executor ran it.
+struct Execution {
+  Schedule planned;
+  double executed_s = 0.0;
+  double sender_wait_s = 0.0;  ///< static and drifting runs
+  std::size_t events_executed = 0;
+  std::size_t direct = 0;
+  std::size_t relayed = 0;
+  std::size_t rescued = 0;
+  std::size_t undeliverable = 0;
+  std::size_t replans = 0;
+  std::size_t reschedules = 0;
+  std::size_t failed_attempts = 0;
+  ExecutedQos qos;  ///< filled when the spec has a [qos] section
+  /// The fault-tolerant executor's result, on runs with a fault plan.
+  std::optional<ResilientResult> resilient;
+};
+
+/// Trace ring capacity that keeps a whole run on `processors` nodes: a
+/// total exchange records ~4 events per ordered pair (more under retries
+/// and relays), and never less than the default 64k.
+[[nodiscard]] std::size_t run_trace_capacity(std::size_t processors);
+
+/// Schedules `resolved` with its scheduler, validates the plan, and
+/// executes it into `trace`: with the fault-tolerant executor under
+/// make_fault_plan's plan (scaled to the planned makespan) when the spec
+/// has faults, otherwise on a drifting directory when drift_sigma > 0,
+/// otherwise on the static directory. `options` sets the receive model
+/// and its parameters; fault plans require the serialized model
+/// (InputError otherwise).
+[[nodiscard]] Execution execute_scenario(const ResolvedScenario& resolved,
+                                         const SimOptions& options,
+                                         EventTrace& trace);
+
+/// Audits the trace of `exec` against the model invariants, with
+/// serialized receives enforced iff `options` runs the serialized model.
+/// A faulty run's completion time includes give-up instants, which are
+/// not port engagements, so only fault-free runs are cross-checked
+/// against their completion.
+[[nodiscard]] AuditReport audit_execution(const Execution& exec,
+                                          const SimOptions& options,
+                                          const EventTrace& trace);
 
 /// Outcome of one scenario execution.
 struct ScenarioRun {

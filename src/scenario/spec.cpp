@@ -3,9 +3,11 @@
 #include <array>
 #include <charconv>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 namespace hcs::scenario {
@@ -223,223 +225,17 @@ bool valid_name(std::string_view name) {
   return true;
 }
 
-/// Semantic validation helper: where to anchor a diagnostic about a key
-/// that may or may not have been written.
-class Lines {
- public:
-  explicit Lines(const RawScenario& raw) : raw_(raw) {}
-
-  [[nodiscard]] bool has(std::string_view full) const {
-    return raw_.values.find(full) != raw_.values.end();
+/// The line a diagnostic anchors to: a written key's own line, else the
+/// header of its section (or the section `anchor` names), else line 1.
+std::size_t line_of(const RawScenario& raw, std::string_view anchor) {
+  if (auto it = raw.values.find(anchor); it != raw.values.end()) {
+    return it->second.line;
   }
-  [[nodiscard]] std::size_t of(std::string_view full) const {
-    if (auto it = raw_.values.find(full); it != raw_.values.end()) {
-      return it->second.line;
-    }
-    auto dot = full.find('.');
-    if (auto it = raw_.sections.find(full.substr(0, dot));
-        it != raw_.sections.end()) {
-      return it->second;
-    }
-    return 1;
+  if (auto it = raw.sections.find(anchor.substr(0, anchor.find('.')));
+      it != raw.sections.end()) {
+    return it->second;
   }
-  [[nodiscard]] std::size_t section(std::string_view name) const {
-    if (auto it = raw_.sections.find(name); it != raw_.sections.end()) {
-      return it->second;
-    }
-    return 1;
-  }
-
- private:
-  const RawScenario& raw_;
-};
-
-void validate(const ScenarioSpec& spec, const RawScenario& raw) {
-  const Lines at{raw};
-
-  if (!at.has("scenario.name")) {
-    throw ScenarioError(at.section("scenario"),
-                        "[scenario] requires 'name'");
-  }
-  if (!valid_name(spec.name)) {
-    throw ScenarioError(at.of("scenario.name"),
-                        "scenario name must match [A-Za-z0-9_-]+, got '" +
-                            spec.name + "'");
-  }
-
-  // Topology.
-  if (spec.family == TopologyFamily::kGusto) {
-    if (at.has("topology.processors") && spec.processors != 5) {
-      throw ScenarioError(
-          at.of("topology.processors"),
-          "the gusto topology is fixed at 5 processors, got " +
-              std::to_string(spec.processors));
-    }
-  } else if (!at.has("topology.processors")) {
-    throw ScenarioError(at.section("topology"),
-                        "[topology] requires 'processors'");
-  }
-  if (spec.processors < 2) {
-    throw ScenarioError(at.of("topology.processors"),
-                        "processors must be >= 2, got " +
-                            std::to_string(spec.processors));
-  }
-  if (at.has("topology.sites") &&
-      spec.family != TopologyFamily::kClustered) {
-    throw ScenarioError(at.of("topology.sites"),
-                        "'sites' is only valid with family = clustered");
-  }
-  if (spec.family == TopologyFamily::kClustered &&
-      (spec.sites < 2 || spec.sites > spec.processors)) {
-    throw ScenarioError(at.of("topology.sites"),
-                        "sites must be in [2, processors], got " +
-                            std::to_string(spec.sites));
-  }
-  if (spec.drift_sigma < 0.0) {
-    throw ScenarioError(at.of("topology.drift_sigma"),
-                        "drift_sigma must be >= 0");
-  }
-  if (at.has("topology.drift_period_s")) {
-    if (spec.drift_sigma <= 0.0) {
-      throw ScenarioError(
-          at.of("topology.drift_period_s"),
-          "'drift_period_s' requires drift_sigma > 0");
-    }
-    if (spec.drift_period_s <= 0.0) {
-      throw ScenarioError(at.of("topology.drift_period_s"),
-                          "drift_period_s must be > 0");
-    }
-  }
-
-  // Workload.
-  if (!at.has("workload.kind")) {
-    throw ScenarioError(at.section("workload"),
-                        "[workload] requires 'kind'");
-  }
-  if (at.has("workload.bytes") && spec.workload != WorkloadKind::kUniform) {
-    throw ScenarioError(at.of("workload.bytes"),
-                        "'bytes' is only valid with kind = uniform");
-  }
-  for (std::string_view key : {"rows", "cols", "element_bytes"}) {
-    std::string full = "workload." + std::string(key);
-    if (at.has(full) && spec.workload != WorkloadKind::kTranspose) {
-      throw ScenarioError(at.of(full), "'" + std::string(key) +
-                                           "' is only valid with kind = "
-                                           "transpose");
-    }
-  }
-  if (spec.uniform_bytes == 0) {
-    throw ScenarioError(at.of("workload.bytes"), "bytes must be > 0");
-  }
-  if (spec.transpose_rows == 0 || spec.transpose_cols == 0 ||
-      spec.element_bytes == 0) {
-    throw ScenarioError(at.section("workload"),
-                        "transpose rows, cols, and element_bytes must all "
-                        "be > 0");
-  }
-
-  // Scheduler.
-  if (at.has("scheduler.ordering") && !spec.qos_scheduler) {
-    throw ScenarioError(at.of("scheduler.ordering"),
-                        "'ordering' requires algorithm = qos");
-  }
-  if (spec.qos_scheduler && !spec.has_qos) {
-    throw ScenarioError(at.of("scheduler.algorithm"),
-                        "algorithm = qos requires a [qos] section");
-  }
-  if (spec.qos_scheduler && spec.hierarchical) {
-    throw ScenarioError(
-        at.of("scheduler.hierarchical"),
-        "algorithm = qos cannot be combined with hierarchical = true");
-  }
-  if (spec.hierarchical && spec.processors < 4) {
-    throw ScenarioError(at.of("scheduler.hierarchical"),
-                        "hierarchical scheduling requires processors >= 4");
-  }
-
-  // QoS.
-  if (spec.has_qos) {
-    if (spec.deadline_factor <= 0.0) {
-      throw ScenarioError(at.of("qos.deadline_factor"),
-                          "deadline_factor must be > 0");
-    }
-    const std::size_t pair_limit =
-        spec.processors * (spec.processors - 1);
-    if (spec.tight_pairs > pair_limit) {
-      throw ScenarioError(at.of("qos.tight_pairs"),
-                          "tight_pairs must be <= P*(P-1) = " +
-                              std::to_string(pair_limit));
-    }
-    for (std::string_view key : {"tight_factor", "tight_priority"}) {
-      std::string full = "qos." + std::string(key);
-      if (at.has(full) && spec.tight_pairs == 0) {
-        throw ScenarioError(at.of(full), "'" + std::string(key) +
-                                             "' requires tight_pairs > 0");
-      }
-    }
-    if (spec.tight_factor <= 0.0) {
-      throw ScenarioError(at.of("qos.tight_factor"),
-                          "tight_factor must be > 0");
-    }
-    if (spec.tight_priority <= 0.0) {
-      throw ScenarioError(at.of("qos.tight_priority"),
-                          "tight_priority must be > 0");
-    }
-  }
-
-  // Faults.
-  if (spec.has_faults) {
-    if (spec.processors < 3) {
-      throw ScenarioError(at.section("faults"),
-                          "fault plans require processors >= 3 (relays "
-                          "need an intermediate node)");
-    }
-    if (spec.crashes + spec.restarts > spec.processors - 2) {
-      throw ScenarioError(
-          at.section("faults"),
-          "crashes + restarts must leave at least 2 healthy nodes "
-          "(limit " +
-              std::to_string(spec.processors - 2) + ")");
-    }
-    if (spec.loss < 0.0 || spec.loss >= 1.0) {
-      throw ScenarioError(at.of("faults.loss"),
-                          "loss must be in [0, 1)");
-    }
-    if (at.has("faults.brownout_factor") && spec.brownouts == 0) {
-      throw ScenarioError(at.of("faults.brownout_factor"),
-                          "'brownout_factor' requires brownouts > 0");
-    }
-    if (spec.brownout_factor <= 0.0 || spec.brownout_factor > 1.0) {
-      throw ScenarioError(at.of("faults.brownout_factor"),
-                          "brownout_factor must be in (0, 1]");
-    }
-    if (spec.drift_sigma > 0.0) {
-      throw ScenarioError(at.section("faults"),
-                          "[faults] cannot be combined with directory "
-                          "drift (drift_sigma > 0)");
-    }
-    if (spec.crashes > 0 && spec.expect_complete) {
-      throw ScenarioError(at.section("faults"),
-                          "crash-stop nodes make completion impossible; "
-                          "set [expect] complete = false");
-    }
-  }
-
-  // Expectations.
-  if (at.has("expect.max_ratio_to_lb") && spec.expect_max_ratio <= 0.0) {
-    throw ScenarioError(at.of("expect.max_ratio_to_lb"),
-                        "max_ratio_to_lb must be > 0");
-  }
-  if (spec.expect_deadlines_met && !spec.has_qos) {
-    throw ScenarioError(at.of("expect.deadlines_met"),
-                        "'deadlines_met' requires a [qos] section");
-  }
-  if (at.has("expect.golden") &&
-      spec.golden.find('/') != std::string::npos) {
-    throw ScenarioError(at.of("expect.golden"),
-                        "golden must be a bare file name, got '" +
-                            spec.golden + "'");
-  }
+  return 1;
 }
 
 std::string fmt(double v) {
@@ -449,7 +245,194 @@ std::string fmt(double v) {
   return std::string(buf.data(), ptr);
 }
 
+/// Every semantic check, in file order. `raw` is the parsed file when
+/// there is one: the checks on which keys it wrote (required keys, keys
+/// whose value would be ignored) run only then; the value checks run on
+/// every spec.
+std::optional<SpecDefect> first_defect(const ScenarioSpec& spec,
+                                       const RawScenario* raw) {
+  const auto wrote = [raw](std::string_view key) {
+    return raw != nullptr && raw->values.contains(key);
+  };
+  const auto missing = [raw](std::string_view key) {
+    return raw != nullptr && !raw->values.contains(key);
+  };
+  const auto defect = [](std::string_view key, std::string message,
+                         std::string_view anchor = {}) {
+    return SpecDefect{key, anchor.empty() ? key : anchor, std::move(message)};
+  };
+  const std::size_t n = spec.processors;
+
+  if (missing("scenario.name")) {
+    return defect("scenario.name", "[scenario] requires 'name'", "scenario");
+  }
+  if (!valid_name(spec.name)) {
+    return defect("scenario.name",
+                  "scenario name must match [A-Za-z0-9_-]+, got '" +
+                      spec.name + "'");
+  }
+
+  // Topology.
+  if (spec.family == TopologyFamily::kGusto && n != 5) {
+    return defect("topology.processors",
+                  "the gusto topology is fixed at 5 processors, got " +
+                      std::to_string(n));
+  }
+  if (spec.family != TopologyFamily::kGusto &&
+      missing("topology.processors")) {
+    return defect("topology.processors", "[topology] requires 'processors'",
+                  "topology");
+  }
+  if (n < 2) {
+    return defect("topology.processors",
+                  "processors must be >= 2, got " + std::to_string(n));
+  }
+  if (wrote("topology.sites") && spec.family != TopologyFamily::kClustered) {
+    return defect("topology.sites",
+                  "'sites' is only valid with family = clustered");
+  }
+  if (spec.family == TopologyFamily::kClustered &&
+      (spec.sites < 2 || spec.sites > n)) {
+    return defect("topology.sites", "sites must be in [2, processors], got " +
+                                        std::to_string(spec.sites));
+  }
+  if (!(spec.drift_sigma >= 0.0)) {
+    return defect("topology.drift_sigma", "drift_sigma must be >= 0");
+  }
+  if (wrote("topology.drift_period_s") && !(spec.drift_sigma > 0.0)) {
+    return defect("topology.drift_period_s",
+                  "'drift_period_s' requires drift_sigma > 0");
+  }
+  if (!(spec.drift_period_s > 0.0)) {
+    return defect("topology.drift_period_s", "drift_period_s must be > 0");
+  }
+
+  // Workload.
+  if (missing("workload.kind")) {
+    return defect("workload.kind", "[workload] requires 'kind'", "workload");
+  }
+  if (wrote("workload.bytes") && spec.workload != WorkloadKind::kUniform) {
+    return defect("workload.bytes",
+                  "'bytes' is only valid with kind = uniform");
+  }
+  for (std::string_view key :
+       {"workload.rows", "workload.cols", "workload.element_bytes"}) {
+    if (wrote(key) && spec.workload != WorkloadKind::kTranspose) {
+      return defect(key, "'" + std::string(key.substr(9)) +
+                             "' is only valid with kind = transpose");
+    }
+  }
+  if (spec.uniform_bytes == 0) {
+    return defect("workload.bytes", "bytes must be > 0");
+  }
+  if (spec.transpose_rows == 0 || spec.transpose_cols == 0 ||
+      spec.element_bytes == 0) {
+    return defect("workload",
+                  "transpose rows, cols, and element_bytes must all be > 0");
+  }
+
+  // Scheduler.
+  if (wrote("scheduler.ordering") && !spec.qos_scheduler) {
+    return defect("scheduler.ordering", "'ordering' requires algorithm = qos");
+  }
+  if (spec.qos_scheduler && !spec.has_qos) {
+    return defect("scheduler.algorithm",
+                  "algorithm = qos requires a [qos] section");
+  }
+  if (spec.qos_scheduler && spec.hierarchical) {
+    return defect(
+        "scheduler.hierarchical",
+        "algorithm = qos cannot be combined with hierarchical = true");
+  }
+  if (spec.hierarchical && n < 4) {
+    return defect("scheduler.hierarchical",
+                  "hierarchical scheduling requires processors >= 4");
+  }
+
+  // QoS.
+  if (spec.has_qos) {
+    if (!(spec.deadline_factor > 0.0)) {
+      return defect("qos.deadline_factor", "deadline_factor must be > 0");
+    }
+    const std::size_t pair_limit = n * (n - 1);
+    if (spec.tight_pairs > pair_limit) {
+      return defect("qos.tight_pairs", "tight_pairs must be <= P*(P-1) = " +
+                                           std::to_string(pair_limit));
+    }
+    for (std::string_view key : {"qos.tight_factor", "qos.tight_priority"}) {
+      if (wrote(key) && spec.tight_pairs == 0) {
+        return defect(key, "'" + std::string(key.substr(4)) +
+                               "' requires tight_pairs > 0");
+      }
+    }
+    if (!(spec.tight_factor > 0.0)) {
+      return defect("qos.tight_factor", "tight_factor must be > 0");
+    }
+    if (!(spec.tight_priority > 0.0)) {
+      return defect("qos.tight_priority", "tight_priority must be > 0");
+    }
+  }
+
+  // Faults. The loss and brownout_factor ranges hold whether or not the
+  // plan has faults: a .scn file can set them only in [faults], and a
+  // spec built in code must not carry an out-of-range value silently.
+  if (spec.has_faults && n < 3) {
+    return defect("topology.processors",
+                  "fault plans require processors >= 3 (relays need an "
+                  "intermediate node)",
+                  "faults");
+  }
+  if (spec.crashes + spec.restarts > n - 2) {
+    return defect("faults.crashes",
+                  "crashes + restarts must leave at least 2 healthy nodes "
+                  "(limit " +
+                      std::to_string(n - 2) + ")",
+                  "faults");
+  }
+  if (!(spec.loss >= 0.0 && spec.loss < 1.0)) {
+    return defect("faults.loss", "loss must be in [0, 1)");
+  }
+  if (wrote("faults.brownout_factor") && spec.brownouts == 0) {
+    return defect("faults.brownout_factor",
+                  "'brownout_factor' requires brownouts > 0");
+  }
+  if (!(spec.brownout_factor > 0.0 && spec.brownout_factor <= 1.0)) {
+    return defect("faults.brownout_factor",
+                  "brownout_factor must be in (0, 1]");
+  }
+  if (spec.has_faults && spec.drift_sigma > 0.0) {
+    return defect("topology.drift_sigma",
+                  "[faults] cannot be combined with directory drift "
+                  "(drift_sigma > 0)",
+                  "faults");
+  }
+  if (spec.crashes > 0 && spec.expect_complete) {
+    return defect("expect.complete",
+                  "crash-stop nodes make completion impossible; set "
+                  "[expect] complete = false",
+                  "faults");
+  }
+
+  // Expectations.
+  if (wrote("expect.max_ratio_to_lb") && !(spec.expect_max_ratio > 0.0)) {
+    return defect("expect.max_ratio_to_lb", "max_ratio_to_lb must be > 0");
+  }
+  if (spec.expect_deadlines_met && !spec.has_qos) {
+    return defect("expect.deadlines_met",
+                  "'deadlines_met' requires a [qos] section");
+  }
+  if (spec.golden.find('/') != std::string::npos) {
+    return defect("expect.golden", "golden must be a bare file name, got '" +
+                                       spec.golden + "'");
+  }
+  return std::nullopt;
+}
+
 }  // namespace
+
+std::optional<SpecDefect> find_value_defect(const ScenarioSpec& spec) {
+  return first_defect(spec, nullptr);
+}
 
 ScenarioSpec parse_scenario(std::string_view text) {
   RawScenario raw = split_lines(text);
@@ -539,7 +522,9 @@ ScenarioSpec parse_scenario(std::string_view text) {
       !raw.values.contains("topology.processors")) {
     spec.processors = 5;
   }
-  validate(spec, raw);
+  if (const auto defect = first_defect(spec, &raw)) {
+    throw ScenarioError(line_of(raw, defect->anchor), defect->message);
+  }
   return spec;
 }
 

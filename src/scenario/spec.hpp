@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -132,6 +133,23 @@ struct ScenarioSpec {
 /// Parses one scenario file. Throws ScenarioError with a 1-based line
 /// number on the first syntactic or semantic defect.
 [[nodiscard]] ScenarioSpec parse_scenario(std::string_view text);
+
+/// A spec whose values are inconsistent: the field at fault (its `.scn`
+/// key, "section.key", or a section name), where a `.scn` diagnostic
+/// anchors (that key's line, or the header line of a section), and the
+/// message.
+struct SpecDefect {
+  std::string_view key;
+  std::string_view anchor;
+  std::string message;
+};
+
+/// The first semantic defect of a spec built in code (the `hcs trace` /
+/// `hcs simulate` flags), or nullopt. parse_scenario runs the same
+/// checks in the same order, interleaved with the checks on which keys a
+/// file wrote, which only a file can fail.
+[[nodiscard]] std::optional<SpecDefect> find_value_defect(
+    const ScenarioSpec& spec);
 
 /// Canonical emission: a .scn file that parses back to exactly `spec`
 /// (parse(emit(s)) == s for any spec that came out of parse_scenario).

@@ -14,8 +14,8 @@
 // makes every run allocation-free inside the simulator. The semantics are
 // pinned by tests/sim_golden_test.cpp, which asserts event-for-event
 // bit-identical traces against the retained naive implementation in
-// sim/reference_simulator.cpp across all receive models, arbitration
-// modes, and fault hooks.
+// tests/support/sim/reference_simulator.cpp across all receive models,
+// arbitration modes, and fault hooks.
 //
 // The interleaved model is event-driven rather than scan-driven. All
 // active receives at one receiver progress at the same per-message rate

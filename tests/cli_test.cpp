@@ -2,7 +2,12 @@
 // its in-process entry point; no subprocesses).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tools/cli.hpp"
 #include "util/csv.hpp"
@@ -420,6 +425,51 @@ TEST(Cli, TraceValidatesArguments) {
       1);
 }
 
+/// Runs `args` and expects exit 1 with a diagnostic naming `flag`.
+void expect_rejected(const std::vector<std::string>& args,
+                     const std::string& flag) {
+  const CliRun result = run(args);
+  EXPECT_EQ(result.exit_code, 1) << result.out;
+  EXPECT_NE(result.err.find(flag), std::string::npos) << result.err;
+}
+
+// The trace/simulate flags build a scenario spec and are checked by the
+// .scn validator, which is stricter than the CLI's own checks used to be.
+TEST(Cli, TraceRejectsDriftWithFaults) {
+  // Drift used to be dropped silently as soon as a fault flag was set.
+  expect_rejected({"trace", "--processors", "6", "--drift", "0.3",
+                   "--restarts", "1"},
+                  "--drift");
+  expect_rejected({"trace", "--processors", "6", "--drift", "0.3", "--loss",
+                   "0.1"},
+                  "--drift");
+}
+
+TEST(Cli, TraceRejectsWhatTheSpecRejects) {
+  expect_rejected({"trace", "--processors", "6", "--clusters", "1"},
+                  "--clusters");
+  expect_rejected({"trace", "--processors", "6", "--clusters", "7"},
+                  "--clusters");
+  expect_rejected({"trace", "--processors", "3", "--hierarchical"},
+                  "--hierarchical");
+  expect_rejected({"trace", "--processors", "2", "--cuts", "1"},
+                  "--processors");
+  expect_rejected({"trace", "--processors", "4", "--crashes", "2",
+                   "--restarts", "1"},
+                  "--crashes");
+  expect_rejected({"trace", "--processors", "5", "--loss", "nan"}, "--loss");
+  expect_rejected({"trace", "--processors", "5", "--clusters", "-2"},
+                  "--clusters");
+  expect_rejected({"simulate", "--processors", "6", "--drift", "-1"},
+                  "--drift");
+  expect_rejected({"simulate", "--processors", "1"}, "--processors");
+  // Not a spec rule: the fault-tolerant executor runs the serialized
+  // receive model only, and the execution core refuses the others.
+  expect_rejected({"trace", "--processors", "5", "--model", "interleaved",
+                   "--cuts", "1"},
+                  "serialized receive model");
+}
+
 TEST(Cli, TraceSelfHealingRunAuditsClean) {
   // Dynamic faults plus online re-planning through the trace pipeline:
   // the committed history (replan rounds included) must replay cleanly
@@ -600,6 +650,98 @@ TEST(Cli, ReplayValidatesArrivalArguments) {
                 .exit_code,
             1);
 }
+
+// ---------------------------------------------------------------------------
+// CLI output pinned byte for byte. The files under tests/golden/cli were
+// generated by the hcs binary before trace and simulate moved onto the
+// scenario execution core; the move must not change a byte. To
+// regenerate after an intended output change:
+//   HCS_UPDATE_GOLDEN=1 ./tests/cli_test --gtest_filter='*CliGolden*'
+// ---------------------------------------------------------------------------
+
+struct GoldenCase {
+  std::string name;
+  std::vector<std::string> args;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+  for (const std::string format : {"diagram", "chrome", "metrics"}) {
+    const std::vector<std::string> tail = {"--format", format, "--audit"};
+    const auto with_tail = [&](std::vector<std::string> args) {
+      args.insert(args.end(), tail.begin(), tail.end());
+      return args;
+    };
+    cases.push_back({"trace_static_" + format,
+                     with_tail({"trace", "--processors", "6", "--seed", "3"})});
+    cases.push_back({"trace_drift_" + format,
+                     with_tail({"trace", "--processors", "6", "--seed", "3",
+                                "--drift", "0.3"})});
+    cases.push_back({"trace_interleaved_" + format,
+                     with_tail({"trace", "--processors", "6", "--seed", "3",
+                                "--model", "interleaved"})});
+    cases.push_back(
+        {"trace_faulty_" + format,
+         with_tail({"trace", "--processors", "12", "--seed", "3",
+                    "--clusters", "4", "--hierarchical", "--restarts", "2",
+                    "--brownouts", "2", "--replan"})});
+  }
+  cases.push_back(
+      {"simulate_default", {"simulate", "--processors", "8", "--seed", "2"}});
+  cases.push_back({"simulate_static",
+                   {"simulate", "--processors", "8", "--seed", "2",
+                    "--drift", "0"}});
+  cases.push_back({"fault_sweep_json",
+                   {"fault-sweep", "--processors", "6", "--seed", "2",
+                    "--format", "json"}});
+  cases.push_back({"fault_sweep_hier_replan_json",
+                   {"fault-sweep", "--processors", "8", "--seed", "4",
+                    "--hierarchical", "--replan", "--restarts", "2",
+                    "--format", "json"}});
+  return cases;
+}
+
+std::string golden_file(const std::string& file) {
+  return std::string(HCS_CLI_GOLDEN_DIR) + "/" + file;
+}
+
+/// File contents, or "" when the file does not exist (a run whose
+/// stderr is empty has no .err golden).
+std::string read_golden(const std::string& file) {
+  std::ifstream in{golden_file(file), std::ios::binary};
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+class CliGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(CliGolden, OutputMatchesTheCheckedInBytes) {
+  const GoldenCase& c = GetParam();
+  const CliRun result = run(c.args);
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const char* update = std::getenv("HCS_UPDATE_GOLDEN");
+  if (update != nullptr && update[0] != '\0') {
+    std::ofstream{golden_file(c.name + ".out"), std::ios::binary} << result.out;
+    std::filesystem::remove(golden_file(c.name + ".err"));
+    if (!result.err.empty())
+      std::ofstream{golden_file(c.name + ".err"), std::ios::binary}
+          << result.err;
+    GTEST_SKIP() << "regenerated " << c.name;
+  }
+  const std::string expected_out = read_golden(c.name + ".out");
+  ASSERT_FALSE(expected_out.empty()) << "missing golden " << c.name << ".out";
+  EXPECT_EQ(result.out, expected_out);
+  EXPECT_EQ(result.err, read_golden(c.name + ".err"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TraceSimulateFaultSweep, CliGolden, ::testing::ValuesIn(golden_cases()),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return info.param.name;
+    });
 
 TEST(CliOptions, ParsesPairsAndFlags) {
   const cli::Options options({"cmd", "--a", "1", "--flag", "--b", "x"}, 1,

@@ -1,23 +1,20 @@
 #include "tools/cli.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "collectives/broadcast.hpp"
 #include "core/comm_matrix.hpp"
-#include "core/hierarchical_scheduler.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/fault_sweep.hpp"
 #include "experiment/sweep_io.hpp"
-#include "netmodel/cluster_detect.hpp"
 #include "fault/resilient.hpp"
 #include "core/schedule_stats.hpp"
 #include "core/scheduler.hpp"
-#include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
 #include "scenario/runner.hpp"
 #include "service/client.hpp"
@@ -31,7 +28,6 @@
 #include "trace/trace.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/scenario.hpp"
@@ -109,10 +105,12 @@ usage:
       and export the trace: an ASCII timing diagram (default), Chrome
       trace_event JSON for chrome://tracing / Perfetto, or a metrics JSON
       summary. Fault options switch to the fault-tolerant executor
-      (serialized model only). --clusters/--hierarchical pick the
-      clustered network family and the hierarchical scheduler, as in
-      sweep. --audit replays the trace through the model-invariant
-      auditor and fails on any violation.
+      (serialized model only, no --drift). --clusters/--hierarchical
+      pick the clustered network family and the hierarchical scheduler,
+      as in sweep. --audit replays the trace through the model-invariant
+      auditor and fails on any violation. The flags describe one .scn
+      scenario and are checked like one; trace, simulate and
+      run-scenarios share one execution core.
 
   hcs replay --socket PATH [--requests N] [--connections C]
              [--processors P] [--scenario NAME] [--algorithm NAME]
@@ -365,59 +363,83 @@ int cmd_broadcast(const Options& options, std::ostream& out) {
   return 0;
 }
 
-int cmd_simulate(const Options& options, std::ostream& out) {
-  const long processors = options.get_long("processors", 0);
-  if (processors < 2) throw InputError("--processors must be >= 2");
-  const auto n = static_cast<std::size_t>(processors);
-  const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
-  const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
-  const SchedulerKind kind =
-      parse_algorithm(options.get("algorithm", "openshop"));
-  const double sigma = options.get_double("drift", 0.2);
-  if (sigma < 0.0) throw InputError("--drift must be non-negative");
+/// `.scn` key of each spec field that `hcs trace` / `hcs simulate` set
+/// from a flag, for diagnostics that name the flag.
+constexpr std::pair<std::string_view, std::string_view> kFlagOfKey[] = {
+    {"topology.processors", "processors"},
+    {"topology.sites", "clusters"},
+    {"topology.drift_sigma", "drift"},
+    {"scheduler.hierarchical", "hierarchical"},
+    {"faults.crashes", "crashes"},
+    {"faults.loss", "loss"},
+    {"faults.brownout_factor", "brownout-factor"},
+};
 
-  const ProblemInstance instance = make_instance(scenario, n, seed);
-  const CommMatrix comm{instance.network, instance.messages};
-  const auto scheduler = make_scheduler(kind, seed);
-  const Schedule planned = scheduler->schedule(comm);
-  planned.validate(comm);
-
-  DriftingDirectory::Options drift;
-  drift.step_sigma = sigma;
-  const DriftingDirectory directory{instance.network, seed * 97, drift};
-  const NetworkSimulator simulator{directory, instance.messages};
-  const SimResult actual =
-      simulator.run(SendProgram::from_schedule(planned));
-
-  out << "scenario " << scenario_name(scenario) << ", P = " << n << ", "
-      << scheduler->name() << " schedule\n";
-  Table table{{"", "completion (s)", "ratio to t_lb"}};
-  const double lb = comm.lower_bound();
-  table.add_row({"planned (directory estimate)",
-                 format_double(planned.completion_time(), 4),
-                 format_double(planned.completion_time() / lb, 4)});
-  table.add_row({"actual (drift sigma " + format_double(sigma, 2) + ")",
-                 format_double(actual.completion_time, 4),
-                 format_double(actual.completion_time / lb, 4)});
-  table.print(out);
-  out << "sender wait total: " << format_double(actual.total_sender_wait_s, 3)
-      << " s\n";
-  return 0;
+/// The single run `hcs trace` and `hcs simulate` describe, as the
+/// scenario spec their flags map onto (DESIGN.md §scenario has the
+/// table), checked by the same value checks as a `.scn` file.
+scenario::ScenarioSpec single_run_spec(const Options& options,
+                                       const std::string& name,
+                                       double default_drift) {
+  scenario::ScenarioSpec spec;
+  spec.name = name;
+  spec.seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
+  spec.processors = options.get_count("processors", 0);
+  if (const std::size_t clusters = options.get_count("clusters", 0);
+      clusters > 0) {
+    spec.family = scenario::TopologyFamily::kClustered;
+    spec.sites = clusters;
+  }
+  spec.drift_sigma = options.get_double("drift", default_drift);
+  spec.workload = scenario::workload_kind(
+      parse_scenario(options.get("scenario", "mixed")));
+  spec.algorithm = parse_algorithm(options.get("algorithm", "openshop"));
+  spec.hierarchical = options.has("hierarchical");
+  spec.crashes = options.get_count("crashes", 0);
+  spec.cuts = options.get_count("cuts", 0);
+  spec.loss = options.get_double("loss", 0.0);
+  spec.restarts = options.get_count("restarts", 0);
+  spec.flaps = options.get_count("flaps", 0);
+  spec.brownouts = options.get_count("brownouts", 0);
+  spec.brownout_factor = options.get_double("brownout-factor", 0.25);
+  spec.replan = options.has("replan");
+  spec.has_faults = spec.crashes > 0 || spec.cuts > 0 || spec.loss > 0.0 ||
+                    spec.restarts > 0 || spec.flaps > 0 || spec.brownouts > 0;
+  spec.expect_complete = false;  // a single run checks no expectations
+  if (const auto defect = scenario::find_value_defect(spec)) {
+    std::string flag;
+    for (const auto& [key, flag_name] : kFlagOfKey)
+      if (key == defect->key) flag = "--" + std::string(flag_name) + ": ";
+    throw InputError(flag + defect->message);
+  }
+  return spec;
 }
 
-/// Builds the scheduler for single-instance commands: the plain
-/// algorithm, or — with --hierarchical — that algorithm running inside
-/// the hierarchical scheduler over the network's detected clustering.
-std::unique_ptr<Scheduler> make_instance_scheduler(SchedulerKind kind,
-                                                   std::uint64_t seed,
-                                                   bool hierarchical,
-                                                   const NetworkModel& network) {
-  if (!hierarchical) return make_scheduler(kind, seed);
-  HierarchicalScheduler::Options options;
-  options.inner = kind;
-  options.seed = seed;
-  return std::make_unique<HierarchicalScheduler>(detect_clusters(network),
-                                                 options);
+int cmd_simulate(const Options& options, std::ostream& out) {
+  const scenario::ScenarioSpec spec =
+      single_run_spec(options, "simulate", /*default_drift=*/0.2);
+  const scenario::ResolvedScenario resolved = scenario::resolve_scenario(spec);
+  EventTrace trace;  // simulate reports totals, not the trace
+  const scenario::Execution exec =
+      scenario::execute_scenario(resolved, SimOptions{}, trace);
+
+  const double planned_s = exec.planned.completion_time();
+  const double lb = resolved.lower_bound_s;
+  out << "scenario "
+      << scenario_name(parse_scenario(options.get("scenario", "mixed")))
+      << ", P = " << spec.processors << ", " << resolved.scheduler->name()
+      << " schedule\n";
+  Table table{{"", "completion (s)", "ratio to t_lb"}};
+  table.add_row({"planned (directory estimate)", format_double(planned_s, 4),
+                 format_double(planned_s / lb, 4)});
+  table.add_row(
+      {"actual (drift sigma " + format_double(spec.drift_sigma, 2) + ")",
+       format_double(exec.executed_s, 4),
+       format_double(exec.executed_s / lb, 4)});
+  table.print(out);
+  out << "sender wait total: " << format_double(exec.sender_wait_s, 3)
+      << " s\n";
+  return 0;
 }
 
 /// Builds the distributed dispatch options from --workers/--shard-units.
@@ -428,9 +450,7 @@ service::DistributedSweepOptions make_distributed_options(
   service::DistributedSweepOptions distributed;
   distributed.endpoints = service::make_worker_endpoints(
       parse_worker_specs(options.get("workers", "")), /*timeout_s=*/300.0);
-  const long shard_units = options.get_long("shard-units", 0);
-  if (shard_units < 0) throw InputError("--shard-units must be >= 0");
-  distributed.shard_units = static_cast<std::size_t>(shard_units);
+  distributed.shard_units = options.get_count("shard-units", 0);
   return distributed;
 }
 
@@ -466,13 +486,9 @@ int cmd_sweep(const Options& options, std::ostream& out) {
   } else {
     config.schedulers = {parse_algorithm(algorithm)};
   }
-  const long threads = options.get_long("threads", 0);
-  if (threads < 0) throw InputError("--threads must be >= 0");
-  config.threads = static_cast<std::size_t>(threads);
+  config.threads = options.get_count("threads", 0);
   config.execute = options.has("execute");
-  const long clusters = options.get_long("clusters", 0);
-  if (clusters < 0) throw InputError("--clusters must be >= 0");
-  config.cluster_count = static_cast<std::size_t>(clusters);
+  config.cluster_count = options.get_count("clusters", 0);
   config.hierarchical = options.has("hierarchical");
   const std::string format = options.get("format", "table");
   if (format != "table" && format != "csv" && format != "json")
@@ -528,59 +544,27 @@ int cmd_sweep(const Options& options, std::ostream& out) {
 }
 
 int cmd_fault_sweep(const Options& options, std::ostream& out) {
-  const long processors = options.get_long("processors", 0);
-  if (processors < 3)
-    throw InputError("--processors must be >= 3 (relays need an intermediate)");
-  const auto n = static_cast<std::size_t>(processors);
-  const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
-  const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
-  const SchedulerKind kind =
-      parse_algorithm(options.get("algorithm", "openshop"));
-  const long max_crashes = options.get_long("max-crashes", 2);
-  if (max_crashes < 0 || max_crashes > processors - 2)
-    throw InputError("--max-crashes must be in [0, processors - 2]");
-  const long cut_count = options.get_long("cuts", 1);
-  if (cut_count < 0) throw InputError("--cuts must be >= 0");
-  const double loss = options.get_double("loss", 0.0);
-  if (!(loss >= 0.0) || !(loss < 1.0))
-    throw InputError("--loss must be in [0, 1)");
-  const long restart_count = options.get_long("restarts", 0);
-  if (restart_count < 0 ||
-      restart_count + max_crashes > processors - 2)
-    throw InputError("--restarts must be >= 0 and leave two healthy nodes");
-  const long flap_count = options.get_long("flaps", 0);
-  if (flap_count < 0) throw InputError("--flaps must be >= 0");
-  const long brownout_count = options.get_long("brownouts", 0);
-  if (brownout_count < 0) throw InputError("--brownouts must be >= 0");
-  const double brownout_factor = options.get_double("brownout-factor", 0.25);
-  if (!(brownout_factor > 0.0) || !(brownout_factor <= 1.0))
-    throw InputError("--brownout-factor must be in (0, 1]");
-  const long threads = options.get_long("threads", 0);
-  if (threads < 0) throw InputError("--threads must be >= 0");
-  const long clusters = options.get_long("clusters", 0);
-  if (clusters < 0) throw InputError("--clusters must be >= 0");
-  const bool hierarchical = options.has("hierarchical");
-  const bool replan = options.has("replan");
+  // Ranges are validate_fault_sweep_config's to check: run_fault_sweep
+  // and the distributed driver both call it.
+  FaultSweepConfig config;
+  config.scenario = parse_scenario(options.get("scenario", "mixed"));
+  config.processors = options.get_count("processors", 0);
+  config.seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
+  config.kind = parse_algorithm(options.get("algorithm", "openshop"));
+  config.max_crashes = options.get_count("max-crashes", 2);
+  config.cut_count = options.get_count("cuts", 1);
+  config.loss = options.get_double("loss", 0.0);
+  config.restart_count = options.get_count("restarts", 0);
+  config.flap_count = options.get_count("flaps", 0);
+  config.brownout_count = options.get_count("brownouts", 0);
+  config.brownout_factor = options.get_double("brownout-factor", 0.25);
+  config.replan = options.has("replan");
+  config.hierarchical = options.has("hierarchical");
+  config.cluster_count = options.get_count("clusters", 0);
+  config.threads = options.get_count("threads", 0);
   const std::string format = options.get("format", "table");
   if (format != "table" && format != "csv" && format != "json")
     throw InputError("unknown fault-sweep format '" + format + "'");
-
-  FaultSweepConfig config;
-  config.scenario = scenario;
-  config.processors = n;
-  config.seed = seed;
-  config.kind = kind;
-  config.max_crashes = static_cast<std::size_t>(max_crashes);
-  config.cut_count = static_cast<std::size_t>(cut_count);
-  config.loss = loss;
-  config.restart_count = static_cast<std::size_t>(restart_count);
-  config.flap_count = static_cast<std::size_t>(flap_count);
-  config.brownout_count = static_cast<std::size_t>(brownout_count);
-  config.brownout_factor = brownout_factor;
-  config.replan = replan;
-  config.hierarchical = hierarchical;
-  config.cluster_count = static_cast<std::size_t>(clusters);
-  config.threads = static_cast<std::size_t>(threads);
 
   // As in sweep: --workers swaps the compute backend only, the rendered
   // rows are byte-identical either way.
@@ -599,15 +583,18 @@ int cmd_fault_sweep(const Options& options, std::ostream& out) {
     return 0;
   }
 
-  out << "scenario " << scenario_name(scenario) << ", P = " << n << ", "
-      << result.algorithm_name << " schedule, " << cut_count
-      << " cut pair(s), loss " << format_double(loss, 2);
-  if (restart_count > 0) out << ", " << restart_count << " restart(s)";
-  if (flap_count > 0) out << ", " << flap_count << " flapping link(s)";
-  if (brownout_count > 0)
-    out << ", " << brownout_count << " brownout(s) x"
-        << format_double(brownout_factor, 2);
-  if (replan) out << ", replan on";
+  out << "scenario " << scenario_name(config.scenario)
+      << ", P = " << config.processors << ", " << result.algorithm_name
+      << " schedule, " << config.cut_count << " cut pair(s), loss "
+      << format_double(config.loss, 2);
+  if (config.restart_count > 0)
+    out << ", " << config.restart_count << " restart(s)";
+  if (config.flap_count > 0)
+    out << ", " << config.flap_count << " flapping link(s)";
+  if (config.brownout_count > 0)
+    out << ", " << config.brownout_count << " brownout(s) x"
+        << format_double(config.brownout_factor, 2);
+  if (config.replan) out << ", replan on";
   out << "; fault-free completion "
       << format_double(result.fault_free_completion_s, 4) << " s\n";
   fault_sweep_table(result).print(out);
@@ -633,40 +620,14 @@ void trace_metrics(const EventTrace& trace, double completion_s,
 }
 
 int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
-  const long processors = options.get_long("processors", 0);
-  if (processors < 2) throw InputError("--processors must be >= 2");
-  const auto n = static_cast<std::size_t>(processors);
-  const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
-  const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
-  const SchedulerKind kind =
-      parse_algorithm(options.get("algorithm", "openshop"));
+  const scenario::ScenarioSpec spec =
+      single_run_spec(options, "trace", /*default_drift=*/0.0);
   const std::string format = options.get("format", "diagram");
-  const std::string model_name = options.get("model", "serialized");
+  if (format != "diagram" && format != "chrome" && format != "metrics")
+    throw InputError("unknown trace format '" + format + "'");
   const long rows = options.get_long("rows", 24);
   if (rows < 1) throw InputError("--rows must be >= 1");
-  const double sigma = options.get_double("drift", 0.0);
-  if (sigma < 0.0) throw InputError("--drift must be non-negative");
-  const long crashes = options.get_long("crashes", 0);
-  const long cut_count = options.get_long("cuts", 0);
-  const double loss = options.get_double("loss", 0.0);
-  if (crashes < 0 || static_cast<std::size_t>(crashes) + 2 > n)
-    throw InputError("--crashes must be in [0, processors - 2]");
-  if (cut_count < 0) throw InputError("--cuts must be >= 0");
-  if (!(loss >= 0.0) || !(loss < 1.0))
-    throw InputError("--loss must be in [0, 1)");
-  const long restart_count = options.get_long("restarts", 0);
-  if (restart_count < 0 || restart_count + crashes > processors - 2)
-    throw InputError("--restarts must be >= 0 and leave two healthy nodes");
-  const long flap_count = options.get_long("flaps", 0);
-  if (flap_count < 0) throw InputError("--flaps must be >= 0");
-  const long brownout_count = options.get_long("brownouts", 0);
-  if (brownout_count < 0) throw InputError("--brownouts must be >= 0");
-  const double brownout_factor = options.get_double("brownout-factor", 0.25);
-  if (!(brownout_factor > 0.0) || !(brownout_factor <= 1.0))
-    throw InputError("--brownout-factor must be in (0, 1]");
-  const long clusters = options.get_long("clusters", 0);
-  if (clusters < 0) throw InputError("--clusters must be >= 0");
-
+  const std::string model_name = options.get("model", "serialized");
   SimOptions sim_options;
   if (model_name == "serialized") {
     sim_options.model = ReceiveModel::kSerialized;
@@ -678,91 +639,28 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
     throw InputError("unknown receive model '" + model_name + "'");
   }
 
-  const ProblemInstance instance =
-      make_instance(scenario, n, seed, static_cast<std::size_t>(clusters));
-  const CommMatrix comm{instance.network, instance.messages};
-  const auto scheduler = make_instance_scheduler(
-      kind, seed, options.has("hierarchical"), instance.network);
-  const Schedule planned = scheduler->schedule(comm);
-  planned.validate(comm);
-
-  // A total exchange records ~4 trace events per ordered pair (issue,
-  // start, finish, delivery); size the ring so wide-P audits see every
-  // event instead of the default ring's most recent 64k.
-  EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
-  double completion = 0.0;
-  const bool faulty = crashes > 0 || cut_count > 0 || loss > 0.0 ||
-                      restart_count > 0 || flap_count > 0 ||
-                      brownout_count > 0;
-  ResilientResult resilient_result;
-  if (faulty) {
-    if (sim_options.model != ReceiveModel::kSerialized)
-      throw InputError("fault options require --model serialized");
-    const StaticDirectory directory{instance.network};
-    FaultPlan plan;
-    plan.transient_loss_prob = loss;
-    plan.seed = seed;
-    Rng rng{seed ^ 0xFA17FA17ULL};
-    while (plan.cuts.size() < static_cast<std::size_t>(cut_count)) {
-      const auto a = static_cast<std::size_t>(rng.next_below(n));
-      const auto b = static_cast<std::size_t>(rng.next_below(n));
-      if (a == b) continue;
-      plan.cuts.push_back({a, b, 0.0, 1e12});
-    }
-    for (long k = 0; k < crashes; ++k)
-      plan.crashes.push_back(
-          {n - 1 - static_cast<std::size_t>(k),
-           0.25 * planned.completion_time() * static_cast<double>(k + 1)});
-    add_dynamic_faults(plan, n, seed, planned.completion_time(), restart_count,
-                       flap_count, brownout_count, brownout_factor);
-    ResilientOptions resilient_options;
-    if (options.has("replan"))
-      resilient_options.replan =
-          default_replan_policy(planned.completion_time());
-    resilient_result = run_resilient_traced(
-        *scheduler, directory, instance.messages, plan, resilient_options,
-        trace);
-    completion = resilient_result.completion_time;
-  } else if (sigma > 0.0) {
-    DriftingDirectory::Options drift;
-    drift.step_sigma = sigma;
-    const DriftingDirectory directory{instance.network, seed * 97, drift};
-    const NetworkSimulator simulator{directory, instance.messages};
-    const SimResult result = simulator.run_traced(
-        SendProgram::from_schedule(planned), sim_options, trace);
-    completion = result.completion_time;
-  } else {
-    const StaticDirectory directory{instance.network};
-    const NetworkSimulator simulator{directory, instance.messages};
-    const SimResult result = simulator.run_traced(
-        SendProgram::from_schedule(planned), sim_options, trace);
-    completion = result.completion_time;
-  }
+  const scenario::ResolvedScenario resolved = scenario::resolve_scenario(spec);
+  EventTrace trace{scenario::run_trace_capacity(spec.processors)};
+  const scenario::Execution exec =
+      scenario::execute_scenario(resolved, sim_options, trace);
 
   if (format == "diagram") {
     out << render_trace_diagram(trace, static_cast<std::size_t>(rows));
   } else if (format == "chrome") {
     write_chrome_trace(out, trace);
-  } else if (format == "metrics") {
+  } else {
     MetricsRegistry metrics;
-    trace_metrics(trace, completion, metrics);
-    if (faulty)
-      record_metrics(resilient_result, planned.completion_time(), metrics);
+    trace_metrics(trace, exec.executed_s, metrics);
+    if (exec.resilient)
+      record_metrics(*exec.resilient, exec.planned.completion_time(),
+                     metrics);
     metrics.write_json(out);
     out << '\n';
-  } else {
-    throw InputError("unknown trace format '" + format + "'");
   }
 
   if (options.has("audit")) {
-    AuditOptions audit_options;
-    audit_options.serialized_receives =
-        sim_options.model == ReceiveModel::kSerialized;
-    const ScheduleAuditor auditor(audit_options);
-    // A faulty run's completion time includes give-up instants, which are
-    // not port engagements; skip the completion cross-check there.
     const AuditReport report =
-        faulty ? auditor.audit(trace) : auditor.audit(trace, completion);
+        scenario::audit_execution(exec, sim_options, trace);
     if (!report.ok()) {
       err << "hcs trace: audit failed\n" << report.summary() << '\n';
       return 1;
@@ -792,9 +690,7 @@ std::string json_escape(const std::string& text) {
 int cmd_run_scenarios(const std::string& directory, const Options& options,
                       std::ostream& out) {
   scenario::FleetOptions fleet;
-  const long threads = options.get_long("threads", 0);
-  if (threads < 0) throw InputError("--threads must be >= 0");
-  fleet.threads = static_cast<std::size_t>(threads);
+  fleet.threads = options.get_count("threads", 0);
   fleet.filter = options.get("filter", "");
   const char* env_update = std::getenv("HCS_UPDATE_GOLDEN");
   fleet.update_golden = options.has("update-golden") ||
@@ -890,6 +786,12 @@ long Options::get_long(const std::string& key, long fallback) const {
   if (end == value.c_str() || *end != '\0')
     throw InputError("option --" + key + " expects an integer");
   return parsed;
+}
+
+std::size_t Options::get_count(const std::string& key, long fallback) const {
+  const long value = get_long(key, fallback);
+  if (value < 0) throw InputError("--" + key + " must be >= 0");
+  return static_cast<std::size_t>(value);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {

@@ -13,6 +13,7 @@
 // wrapper.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -38,6 +39,11 @@ class Options {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
   [[nodiscard]] long get_long(const std::string& key, long fallback) const;
+  /// get_long for a count: a negative value is refused before it would
+  /// wrap in the cast to size_t. Range checks beyond that belong to the
+  /// spec or config the count lands in.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
 
  private:
